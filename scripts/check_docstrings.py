@@ -72,7 +72,9 @@ REQUIRED_SYMBOLS = (
     "repro.sim.engines.list_engines",
     "repro.sim.vectorized.simulate_grid",
     "repro.sim.vectorized.config_knobs",
-    "repro.sim.cycle_model.CycleModel.prime",
+    "repro.api.sweep.SessionPool",
+    "repro.api.sweep.SessionPool.get",
+    "repro.api.sweep.execute_points",
     "repro.sim.engines.register_absent_engine",
     "repro.sim.engines.absent_engines",
     "repro.sim.engines.jit.register_jit_engine",

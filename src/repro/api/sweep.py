@@ -13,12 +13,16 @@ that fan-out into a small *service*:
   (config, seed, engine) -- so one worker session amortises configuration
   construction and profile caching across a whole shard -- and chunked to
   the requested shard count;
-* :func:`run_shard` executes one shard: cached points are deserialised,
-  cold single-model points of the same experiment are merged into **one
-  batched** ``Experiment.run`` call that rides the vectorized engine's
+* :func:`execute_points` is the execution core shared by sweep shards and
+  the serve daemon's coalesced batches: points are grouped onto pooled
+  per-(config, seed, engine) sessions (:class:`SessionPool`), mergeable
+  points of one experiment are merged into **one batched**
+  ``Experiment.run`` call that rides the vectorized engine's
   :func:`repro.sim.vectorized.simulate_jobs` shard-sized kernel, and the
   per-point results are split back out (bitwise identical to point-at-a-time
   execution -- the vectorized kernel is elementwise per layer);
+* :func:`run_shard` executes one shard: cached points are deserialised,
+  cold points run through :func:`execute_points` and are written back;
 * :func:`run_sweep` dispatches the shards over a pluggable *shard
   transport* (:mod:`repro.dist`) -- ``"process"``
   (:class:`~concurrent.futures.ProcessPoolExecutor`, the fast path for
@@ -59,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -75,7 +80,7 @@ from typing import (
     Union,
 )
 
-from ..arch.config import DBPIMConfig, SPARSITY_VARIANTS
+from ..arch.config import DBPIMConfig
 from ..dist.locks import PidFileLock, pid_alive
 from ..dist.transport import (
     DEFAULT_TRANSPORT,
@@ -110,8 +115,10 @@ __all__ = [
     "SweepJournal",
     "SweepJournalLockedError",
     "SweepPointError",
+    "SessionPool",
     "build_grid",
     "cache_keys_for_grid",
+    "execute_points",
     "run_point",
     "run_shard",
     "run_sweep",
@@ -560,11 +567,10 @@ class ShardPlanner:
        re-run does not occupy process workers with deserialisation;
     3. within each temperature, points are grouped by ``(seed, engine)``
        -- configurations deliberately stay *mixed* inside one group, so
-       cold points that differ only in config can ride the config-fused
-       grid kernel (:func:`repro.sim.vectorized.simulate_grid`) of one
-       worker, sharing one workload-profile cache across the per-config
-       sessions -- and each group is chunked into shards of roughly
-       ``total / shards`` points, preserving grid order.
+       cold points that differ only in config land on one worker whose
+       per-config sessions share one workload-profile cache (see
+       :class:`SessionPool`) -- and each group is chunked into shards of
+       roughly ``total / shards`` points, preserving grid order.
 
     The warm/cold split costs ONE batched cache probe for the whole grid,
     not one ``stat`` per point: the packed backend intersects the grid's
@@ -649,7 +655,7 @@ class ShardPlanner:
         present = self._probe_cache(keys)
         journaled: List[int] = []
         # (warm, seed, engine) -> [(grid index, point)]; configs mix inside
-        # a group so one worker can fuse the config axis.
+        # a group so one worker profiles each workload once for all of them.
         groups: Dict[Tuple[bool, int, str], List[Tuple[int, SweepPoint]]] = {}
         totals = {True: 0, False: 0}
         for index, (point, key) in enumerate(zip(grid, keys)):
@@ -691,13 +697,13 @@ class ShardPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Shard execution (runs inside worker threads / processes)
+# Execution core (shared by sweep shards and served batches)
 # ---------------------------------------------------------------------------
-#: Experiments whose single-model points may be merged into one batched
-#: ``Experiment.run`` call inside a shard: per-model rows are computed
-#: independently (and, on the vectorized engine, elementwise per layer), so
-#: the merged run is bitwise identical to point-at-a-time execution.  The
-#: training-based experiments are excluded defensively.
+#: Experiments whose model-list points may be merged into one batched
+#: ``Experiment.run`` call: per-model rows are computed independently (and,
+#: on the vectorized engine, elementwise per layer), so the merged run is
+#: bitwise identical to point-at-a-time execution.  The training-based
+#: experiments are excluded defensively.
 _MERGEABLE_EXPERIMENTS = frozenset(
     spec.id
     for spec in EXPERIMENTS.values()
@@ -706,189 +712,176 @@ _MERGEABLE_EXPERIMENTS = frozenset(
 
 
 def _session_key(point: SweepPoint) -> Tuple[str, int, str]:
-    """The (config, seed, engine) triple one worker session is built from."""
+    """The (config, seed, engine) triple one session is built from."""
     return (point.config, point.seed, point.engine)
-
-
-#: Experiments whose runner consumes ``CycleModel.run_batch`` over the full
-#: Fig. 7 variant set per model -- the shape the cross-config fused prime
-#: pass precomputes.  Priming any other experiment would burn cycles on
-#: results its runner never asks the cycle model for.
-_PRIMEABLE_EXPERIMENTS = frozenset({"fig7"})
-
-
-def _prime_key(point: SweepPoint) -> Optional[Tuple[str, str, str, int, str]]:
-    """Cross-config fuse bucket of a point, or ``None`` when not fusible.
-
-    Points that share everything *except* the hardware configuration --
-    same primeable experiment, same single model, same non-model
-    parameters, same seed, same batch-capable engine -- evaluate one
-    workload profile under many configs, which is exactly the shape
-    :func:`repro.sim.vectorized.simulate_grid` fuses into one pass.
-    """
-    if point.experiment not in _PRIMEABLE_EXPERIMENTS:
-        return None
-    merged = _merge_key(point)
-    if merged is None:
-        return None
-    if not get_engine(point.engine).batch:
-        return None
-    return (
-        point.experiment,
-        merged[1],
-        str(point.params["models"][0]),
-        point.seed,
-        point.engine,
-    )
 
 
 def _merge_key(point: SweepPoint) -> Optional[Tuple[str, str]]:
     """Batch-merge bucket of a point, or ``None`` when not mergeable.
 
-    Mergeable points are single-model points of a mergeable experiment;
-    the bucket key includes every non-model parameter so only runs with
-    identical extra parameters are batched together.
+    Mergeable points name their models explicitly for a mergeable
+    experiment; the bucket key includes every non-model parameter so only
+    runs with identical extra parameters are batched together.  It leaves
+    out the configuration, seed and engine, which the session already pins.
     """
     if point.experiment not in _MERGEABLE_EXPERIMENTS:
         return None
     models = point.params.get("models")
-    if not isinstance(models, list) or len(models) != 1:
+    if not isinstance(models, list) or not models:
         return None
     rest = {k: v for k, v in point.params.items() if k != "models"}
     canonical = json.dumps(rest, sort_keys=True, separators=(",", ":"))
     return (point.experiment, canonical)
 
 
+class SessionPool:
+    """Warm :class:`~repro.api.experiment.Experiment` sessions, one per
+    (config, seed, engine).
+
+    A session for a new configuration is cloned from an existing
+    same-(seed, engine) session via
+    :meth:`~repro.api.experiment.Experiment.with_config`, so every
+    configuration of one seed and engine shares one workload-profile cache
+    and a design-space grid profiles each workload once.  A sweep shard
+    uses a fresh pool; the serve daemon keeps one for its whole lifetime.
+    Lookups are thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._sessions)
+
+    def get(self, config: str, seed: int, engine: str) -> Experiment:
+        """The session of (config, seed, engine), created on demand."""
+        key = (config, seed, engine)
+        with self._lock:
+            session = self._sessions.get(key)
+            if session is None:
+                for (_, other_seed, other_engine), other in (
+                    self._sessions.items()
+                ):
+                    if other_seed == seed and other_engine == engine:
+                        session = other.with_config(config)
+                        break
+                else:
+                    session = Experiment(
+                        config=config, seed=seed, engine=engine
+                    )
+                self._sessions[key] = session
+        return session
+
+
 def _run_single(
-    session: Experiment,
-    index: int,
-    point: SweepPoint,
-    cache_dir: Optional[Union[str, Path]],
-) -> Tuple[int, ExperimentResult, bool]:
-    """Execute one cold point on an existing session, wrapping failures."""
+    session: Experiment, point: SweepPoint
+) -> Union[ExperimentResult, SweepPointError]:
+    """One point, one ``Experiment.run``; a failure becomes a
+    :class:`SweepPointError` value naming the point, chained to the cause."""
     try:
-        result = session.run(point.experiment, **point.params)
+        return session.run(point.experiment, **point.params)
     except Exception as error:
-        raise SweepPointError(
+        failure = SweepPointError(
             f"sweep point failed: {point.describe()}: "
             f"{type(error).__name__}: {error}",
             point,
-        ) from error
-    _store_cached(point, result, cache_dir)
-    return (index, result, False)
+        )
+        failure.__cause__ = error
+        return failure
 
 
 def _run_merged(
-    session: Experiment,
-    members: Sequence[Tuple[int, SweepPoint]],
-    cache_dir: Optional[Union[str, Path]],
-) -> List[Tuple[int, ExperimentResult, bool]]:
-    """Execute a bucket of mergeable single-model points as one batch.
+    session: Experiment, bucket: Sequence[SweepPoint]
+) -> Optional[List[ExperimentResult]]:
+    """Execute a bucket of mergeable points as one batched run.
 
-    The models are concatenated into one ``Experiment.run`` call (one
+    The model lists are concatenated into one ``Experiment.run`` call (one
     vectorized cycle-model pass for the whole bucket) and the returned rows
-    are split back into per-point results identical to individual runs.
-    Any failure falls back to point-at-a-time execution so the offending
-    point is identified precisely.
+    are split back by each point's model count into results identical to
+    individual runs.  Returns ``None`` on any failure, so the caller falls
+    back to point-at-a-time execution and identifies the offending point.
     """
-    first = members[0][1]
-    models = [point.params["models"][0] for _, point in members]
+    first = bucket[0]
+    counts = [len(point.params["models"]) for point in bucket]
+    params = dict(first.params)
+    params["models"] = [
+        model for point in bucket for model in point.params["models"]
+    ]
     try:
-        merged_params = dict(first.params)
-        merged_params["models"] = models
-        combined = session.run(first.experiment, **merged_params)
-        if len(combined.rows) != len(members):
+        combined = session.run(first.experiment, **params)
+        if len(combined.rows) != len(params["models"]):
             raise ValueError(
                 f"merged run returned {len(combined.rows)} rows for "
-                f"{len(members)} points"
+                f"{len(params['models'])} models"
             )
     except Exception:
-        # Localise the failure (and keep healthy points progressing).
-        return [
-            _run_single(session, index, point, cache_dir)
-            for index, point in members
-        ]
-    outcomes: List[Tuple[int, ExperimentResult, bool]] = []
-    for (index, point), row in zip(members, combined.rows):
-        params = dict(combined.params)
-        params["models"] = list(point.params["models"])
-        result = ExperimentResult(
-            experiment=combined.experiment,
-            rows=(row,),
-            params=params,
-            seed=combined.seed,
-            config=combined.config,
+        return None
+    resolved = list(combined.params["models"])
+    results: List[ExperimentResult] = []
+    offset = 0
+    for count in counts:
+        split = dict(combined.params)
+        split["models"] = resolved[offset : offset + count]
+        results.append(
+            ExperimentResult(
+                experiment=combined.experiment,
+                rows=combined.rows[offset : offset + count],
+                params=split,
+                seed=combined.seed,
+                config=combined.config,
+            )
         )
-        _store_cached(point, result, cache_dir)
-        outcomes.append((index, result, False))
-    return outcomes
+        offset += count
+    return results
 
 
-def _prime_sessions(
-    pending: Sequence[Tuple[int, SweepPoint]],
-    get_session,
-) -> None:
-    """Precompute cross-config cycle-model results through the fused grid.
+def execute_points(
+    points: Sequence[SweepPoint], pool: SessionPool
+) -> List[Union[ExperimentResult, SweepPointError]]:
+    """Execute grid points on the sessions of ``pool``.
 
-    Cold points that differ only in hardware configuration (see
-    :func:`_prime_key`) evaluate one workload profile under many configs.
-    Instead of letting each per-config session recompute its slice, a
-    single :meth:`~repro.sim.cycle_model.CycleModel.run_batch` call with an
-    explicit cross-config grid rides
-    :func:`repro.sim.vectorized.simulate_grid` -- one fused 2-D pass, no
-    per-config profile copies -- and each session is primed with its slice
-    (served, byte-identically, when the point later runs).  Any failure
-    here is non-fatal: priming is a pure performance hint, the normal
-    per-point path recomputes whatever was not primed.
+    The execution core of both :func:`run_shard` and the serve daemon's
+    coalesced batches.  Points with equal cache keys are computed once;
+    the rest are grouped by (config, seed, engine) onto one pooled session
+    each, and the mergeable points of a session (see :func:`_merge_key`)
+    ride one batched ``Experiment.run`` per bucket -- the vectorized
+    engine's :func:`repro.sim.vectorized.simulate_jobs` kernel -- whose
+    rows are split back per point.  Every result is byte-identical to
+    :func:`run_point` on the same point.  No cache is read or written.
+
+    Args:
+        points: the points to execute, in any order.
+        pool: the sessions to run them on (grown on demand).
+
+    Returns:
+        One :class:`~repro.api.results.ExperimentResult` or one
+        :class:`SweepPointError` (naming the failed point and chaining the
+        cause) per point, in point order.  A failed run is returned, never
+        raised.
     """
-    groups: Dict[Tuple, List[SweepPoint]] = {}
-    for _, point in pending:
-        key = _prime_key(point)
-        if key is not None:
-            groups.setdefault(key, []).append(point)
-    for (_, _, model, seed, engine), points in groups.items():
-        config_names: List[str] = []
-        for point in points:
-            if point.config not in config_names:
-                config_names.append(point.config)
-        if len(config_names) < 2:
-            continue
-        try:
-            sessions = [
-                get_session(name, seed, engine) for name in config_names
-            ]
-            base = sessions[0]
-            # Sessions profiling with a different IPU group size own a
-            # different profile object; priming them from the base profile
-            # would never be served (identity-checked), so skip them.
-            sessions = [
-                session
-                for session in sessions
-                if session.input_group == base.input_group
-            ]
-            if len(sessions) < 2:
-                continue
-            profile = base.profile(model)
-            jobs = [
-                (profile, variant)
-                for _ in sessions
-                for variant in SPARSITY_VARIANTS
-            ]
-            configs = [
-                session.config
-                for session in sessions
-                for _ in SPARSITY_VARIANTS
-            ]
-            performances = base.cycle_model.run_batch(jobs, configs=configs)
-            stride = len(SPARSITY_VARIANTS)
-            for position, session in enumerate(sessions):
-                start = position * stride
-                session.cycle_model.prime(
-                    jobs[start : start + stride],
-                    performances[start : start + stride],
-                )
-        except Exception:
-            continue  # priming is best-effort; points recompute normally
+    keys = [point.cache_key() for point in points]
+    groups: Dict[
+        Tuple[str, int, str], Dict[Optional[Tuple[str, str]], List[SweepPoint]]
+    ] = {}
+    seen = set()
+    for point, key in zip(points, keys):
+        if key not in seen:
+            seen.add(key)
+            buckets = groups.setdefault(_session_key(point), {})
+            buckets.setdefault(_merge_key(point), []).append(point)
+    outcomes: Dict[str, Union[ExperimentResult, SweepPointError]] = {}
+    for (config, seed, engine), buckets in groups.items():
+        session = pool.get(config, seed, engine)
+        for merge_key, bucket in buckets.items():
+            merged = None
+            if merge_key is not None and len(bucket) > 1:
+                merged = _run_merged(session, bucket)
+            if merged is None:
+                merged = [_run_single(session, point) for point in bucket]
+            for point, outcome in zip(bucket, merged):
+                outcomes[point.cache_key()] = outcome
+    return [outcomes[key] for key in keys]
 
 
 def run_shard(
@@ -899,17 +892,8 @@ def run_shard(
     This is the worker entry point of every executor backend (it is a
     module-level function so :class:`~concurrent.futures.ProcessPoolExecutor`
     can pickle it).  Cached points are deserialised first; the remaining
-    cold points are grouped by (config, seed, engine) onto one
-    :class:`~repro.api.experiment.Experiment` session each -- same-(seed,
-    engine) sessions cloned via
-    :meth:`~repro.api.experiment.Experiment.with_config` so they share one
-    workload-profile cache -- and mergeable single-model points ride one
-    batched vectorized call per experiment (see
-    :func:`repro.sim.vectorized.simulate_jobs`).  Before the per-session
-    loop, points differing only in configuration are precomputed together
-    through the config-fused grid kernel
-    (:func:`repro.sim.vectorized.simulate_grid`) and their sessions primed
-    with the byte-identical slices (see :func:`_prime_sessions`).
+    cold points run through :func:`execute_points` on a fresh
+    :class:`SessionPool`, and each computed result is written to the cache.
 
     Args:
         shard: the shard to execute (see :class:`ShardPlanner`).
@@ -919,7 +903,9 @@ def run_shard(
         ``(grid index, result, cache_hit)`` triples, sorted by grid index.
 
     Raises:
-        SweepPointError: when a point fails; identifies the offending point.
+        SweepPointError: when a point fails; identifies the offending point
+            (the first failed one in grid order).  The shard's successful
+            points are cached before it is raised.
     """
     for name, config in shard.configs:
         try:
@@ -941,41 +927,16 @@ def run_shard(
         else:
             pending.append((index, point))
 
-    sessions: Dict[Tuple[str, int, str], List[Tuple[int, SweepPoint]]] = {}
-    for index, point in pending:
-        sessions.setdefault(_session_key(point), []).append((index, point))
-
-    # One Experiment per (config, seed, engine); same-(seed, engine)
-    # sessions are cloned via with_config so they share one profile cache.
-    session_cache: Dict[Tuple[str, int, str], Experiment] = {}
-
-    def _get_session(config: str, seed: int, engine: str) -> Experiment:
-        key = (config, seed, engine)
-        session = session_cache.get(key)
-        if session is None:
-            for (_, other_seed, other_engine), other in session_cache.items():
-                if other_seed == seed and other_engine == engine:
-                    session = other.with_config(config)
-                    break
-            else:
-                session = Experiment(config=config, seed=seed, engine=engine)
-            session_cache[key] = session
-        return session
-
-    _prime_sessions(pending, _get_session)
-    for (config, seed, engine), members in sessions.items():
-        session = _get_session(config, seed, engine)
-        buckets: Dict[Optional[Tuple[str, str]], List[Tuple[int, SweepPoint]]] = {}
-        for index, point in members:
-            buckets.setdefault(_merge_key(point), []).append((index, point))
-        for merge_key, bucket in buckets.items():
-            if merge_key is not None and len(bucket) > 1:
-                outcomes.extend(_run_merged(session, bucket, cache_dir))
-            else:
-                for index, point in bucket:
-                    outcomes.append(
-                        _run_single(session, index, point, cache_dir)
-                    )
+    computed = execute_points([point for _, point in pending], SessionPool())
+    failure: Optional[SweepPointError] = None
+    for (index, point), outcome in zip(pending, computed):
+        if isinstance(outcome, SweepPointError):
+            failure = failure or outcome
+            continue
+        _store_cached(point, outcome, cache_dir)
+        outcomes.append((index, outcome, False))
+    if failure is not None:
+        raise failure
     outcomes.sort(key=lambda outcome: outcome[0])
     return outcomes
 

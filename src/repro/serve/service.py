@@ -4,13 +4,16 @@ Every ``repro run`` process today pays interpreter startup, registry
 construction and workload profiling before its first simulated cycle.  This
 module keeps all of that warm in one long-lived service:
 
-* :class:`ExperimentService` -- an asyncio object owning warm
+* :class:`ExperimentService` -- an asyncio object owning a long-lived
+  :class:`~repro.api.sweep.SessionPool` of warm
   :class:`~repro.api.experiment.Experiment` sessions (one per
   (config, seed, engine), so workload sparsity profiles and compiled
   programs are profiled once and reused), an admission-controlled request
   queue with per-request deadlines and bounded backpressure, and a
-  **coalescing batcher** that drains compatible queued requests into single
-  batched :meth:`~repro.api.experiment.Experiment.run` calls riding the
+  **coalescing batcher** that drains compatible queued requests into one
+  call of the execution core sweep shards use
+  (:func:`repro.api.sweep.execute_points`), which merges them into batched
+  :meth:`~repro.api.experiment.Experiment.run` calls riding the
   vectorized :func:`~repro.sim.vectorized.simulate_jobs` kernel -- with
   results byte-identical to one-at-a-time dispatch (pinned by
   ``tests/serve/``);
@@ -53,15 +56,18 @@ from typing import (
     Union,
 )
 
-from ..api.experiment import EXPERIMENTS, Experiment, get_experiment_spec
+from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
 from ..api.sweep import (
     CACHE_BACKENDS,
     DEFAULT_CACHE_BACKEND,
+    SessionPool,
     SweepPoint,
+    SweepPointError,
     _load_cached,
-    _prime_sessions,
+    _merge_key,
     _store_cached,
+    execute_points,
     run_sweep,
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
@@ -338,15 +344,6 @@ class RunOutcome:
     latency_s: float
 
 
-#: Mergeable experiments (single batched run == per-request runs): the same
-#: criterion the sweep shard executor applies.
-_MERGEABLE = frozenset(
-    spec.id
-    for spec in EXPERIMENTS.values()
-    if spec.takes_models and not spec.aggregates_models and not spec.heavy
-)
-
-
 @dataclass
 class _Pending:
     """Internal queue entry: one admitted request awaiting dispatch."""
@@ -375,10 +372,12 @@ class ExperimentService:
 
     Dispatch model: a single batcher task pulls admitted requests off the
     queue, waits :attr:`ServeConfig.batch_window_s` for companions, groups
-    compatible requests -- same (experiment, config, seed, engine,
-    non-model params), mergeable experiment -- and executes each group as
-    **one** batched ``Experiment.run`` on a dispatch thread (the simulation
-    is CPU-bound synchronous NumPy; the event loop stays responsive).
+    compatible requests -- same (experiment, seed, engine, non-model
+    params), mergeable experiment -- and executes each group through the
+    shared execution core (:func:`repro.api.sweep.execute_points`): one
+    batched ``Experiment.run`` per configuration, on a dispatch thread (the
+    simulation is CPU-bound synchronous NumPy; the event loop stays
+    responsive).
     Requests arriving while a batch executes pile up in the queue and
     coalesce into the next batch, which is where the throughput under
     concurrent load comes from.
@@ -409,8 +408,7 @@ class ExperimentService:
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._run_executor: Optional[ThreadPoolExecutor] = None
         self._sweep_executor: Optional[ThreadPoolExecutor] = None
-        self._sessions: Dict[Tuple[str, int, str], Experiment] = {}
-        self._sessions_lock = threading.Lock()
+        self._pool = SessionPool()
         self._inflight_sweeps: set = set()
         self._started = False
         self._closing = False
@@ -612,7 +610,7 @@ class ExperimentService:
                 else 0.0
             ),
             "queue_depth": self._queue.qsize() if self._queue else 0,
-            "sessions": len(self._sessions),
+            "sessions": len(self._pool),
             "hot_cache_entries": len(self.hot_cache),
             "max_queue": self.config.max_queue,
             "batch_window_s": self.config.batch_window_s,
@@ -621,28 +619,22 @@ class ExperimentService:
 
     # -- batching -------------------------------------------------------
     @staticmethod
-    def _coalesce_key(request: RunRequest) -> Optional[Tuple[Any, ...]]:
+    def _coalesce_key(point: SweepPoint) -> Optional[Tuple[Any, ...]]:
         """Compatibility bucket of a request, or ``None`` when standalone.
 
-        Only mergeable experiments coalesce; the bucket pins everything
-        except the model list *and the hardware configuration*, so a merged
+        The execution core's merge criterion
+        (:func:`repro.api.sweep._merge_key`) plus the seed and engine: only
+        mergeable experiments coalesce, and the bucket pins everything
+        except the model list *and the hardware configuration*.  The core
+        runs each configuration of a bucket on its own session, so a merged
         run differs from the solo runs only by model concatenation (which
         the vectorized kernel evaluates elementwise per layer -- hence
-        byte-identical splitting).  Cross-config members of one bucket are
-        partitioned back into per-config subgroups by
-        :meth:`_execute_group`, which first precomputes their shared
-        cycle-model work through the config-fused grid kernel
-        (:func:`repro.sim.vectorized.simulate_grid`).
+        byte-identical splitting).
         """
-        if request.experiment not in _MERGEABLE or not request.models:
+        merge = _merge_key(point)
+        if merge is None:
             return None
-        rest = tuple(sorted(dict(request.params).items()))
-        return (
-            request.experiment,
-            request.seed,
-            request.engine,
-            repr(rest),
-        )
+        return (merge, point.seed, point.engine)
 
     async def _batch_loop(self) -> None:
         """The batcher task: collect -> group -> dispatch, forever."""
@@ -687,7 +679,7 @@ class ExperimentService:
         groups: Dict[Any, List[_Pending]] = {}
         standalone: List[List[_Pending]] = []
         for pending in batch:
-            key = self._coalesce_key(pending.request)
+            key = self._coalesce_key(pending.point)
             if key is None:
                 standalone.append([pending])
             else:
@@ -713,9 +705,17 @@ class ExperimentService:
             self.metrics.increment("batched_requests_total", len(live))
             self.metrics.observe("batch_size", float(len(live)))
             started = time.monotonic()
-            outcomes = await self._loop.run_in_executor(
-                self._run_executor, self._execute_group, live
-            )
+            try:
+                outcomes = await self._loop.run_in_executor(
+                    self._run_executor, self._execute_group, live
+                )
+            except Exception as error:
+                # Fail this group only; the batcher keeps serving.
+                failure = RunFailedError(
+                    f"dispatch failed: {type(error).__name__}: {error}"
+                )
+                failure.__cause__ = error
+                outcomes = [failure] * len(live)
             self.metrics.observe("batch_execute", time.monotonic() - started)
             for pending, outcome in zip(live, outcomes):
                 if isinstance(outcome, Exception):
@@ -728,210 +728,109 @@ class ExperimentService:
                         pending.future.set_result((outcome, len(live)))
 
     # -- synchronous execution (dispatch thread) ------------------------
-    def _session_for(self, config: str, seed: int, engine: str) -> Experiment:
-        """The warm session of (config, seed, engine), created on demand.
-
-        Same-(seed, engine) sessions are cloned via
-        :meth:`~repro.api.experiment.Experiment.with_config` so they share
-        one workload-profile cache -- the prerequisite for the cross-config
-        fused prime pass (primed entries are identity-checked against the
-        profile object the consuming session resolves).
-        """
-        key = (config, seed, engine)
-        with self._sessions_lock:
-            session = self._sessions.get(key)
-            if session is None:
-                for (_, other_seed, other_engine), other in list(
-                    self._sessions.items()
-                ):
-                    if other_seed == seed and other_engine == engine:
-                        session = other.with_config(config)
-                        break
-                else:
-                    session = Experiment(
-                        config=config, seed=seed, engine=engine
-                    )
-                self._sessions[key] = session
-                self.metrics.set_gauge("sessions", len(self._sessions))
-        return session
-
-    def _session(self, request: RunRequest) -> Experiment:
-        """The warm session serving ``request`` (see :meth:`_session_for`)."""
-        return self._session_for(request.config, request.seed, request.engine)
-
     def _execute_group(
         self, group: Sequence[_Pending]
     ) -> List[Union[ExperimentResult, Exception]]:
         """Execute one compatible group synchronously (on the executor).
 
-        The group is partitioned into per-config subgroups (the coalesce
-        key deliberately ignores the configuration).  When more than one
-        config participates, the shared cycle-model work is first
-        precomputed through the config-fused grid kernel and each config's
-        session primed with its byte-identical slice (see
-        :func:`repro.api.sweep._prime_sessions`); each subgroup then runs
-        on its own warm session exactly as before -- so fused and unfused
-        dispatch produce identical results.
-        """
-        subgroups: Dict[str, List[_Pending]] = {}
-        for pending in group:
-            subgroups.setdefault(pending.request.config, []).append(pending)
-        if len(subgroups) > 1:
-            self.metrics.increment("cross_config_groups")
-            _prime_sessions(
-                [(i, p.point) for i, p in enumerate(group)],
-                self._session_for,
-            )
-        computed: Dict[str, Union[ExperimentResult, Exception]] = {}
-        for members in subgroups.values():
-            self._execute_subgroup(members, computed)
-        return [computed[pending.key] for pending in group]
-
-    def _execute_subgroup(
-        self,
-        members: Sequence[_Pending],
-        computed: Dict[str, Union[ExperimentResult, Exception]],
-    ) -> None:
-        """Execute one same-config subgroup into ``computed``.
-
-        Requests with identical cache keys are deduplicated (computed
-        once, shared); the disk cache (when configured) is probed before
-        any simulation -- on the packed backend that is ONE batched
+        The disk cache (when configured) is probed first -- on the packed
+        backend that is ONE batched
         :meth:`~repro.store.PackedResultStore.get_many` read for the whole
-        subgroup, the same store a ``repro sweep --cache-backend packed``
-        populates; the remaining unique requests are merged into one
-        batched ``Experiment.run`` when there is more than one, falling
-        back to per-request execution on any merge failure so the
-        offending request is identified precisely.  Computed results are
-        written back the same way (one batched, best-effort store append,
-        or one per-file write each).
+        group, the same store a ``repro sweep --cache-backend packed``
+        populates.  The misses run through the shared execution core
+        (:func:`repro.api.sweep.execute_points`) on the service's
+        long-lived session pool, which deduplicates equal requests, runs
+        each configuration on its own warm session and merges compatible
+        requests into one batched run -- so coalesced and solo dispatch
+        produce identical results.  Computed results are written back
+        best-effort, and a failed point maps to :class:`RunFailedError`.
         """
-        session = self._session(members[0].request)
-        cache_dir = self.config.cache_dir
-        store = self._store
-        candidates: List[_Pending] = []
-        for pending in members:
-            if pending.key in computed or any(
-                p.key == pending.key for p in candidates
-            ):
-                continue
-            candidates.append(pending)
-        unique: List[_Pending] = []
-        if store is not None:
-            store.maybe_refresh()
-            fetched = store.get_many(p.key for p in candidates)
-            for pending in candidates:
-                cached = fetched.get(pending.key)
-                if cached is not None:
-                    computed[pending.key] = cached
-                    self.metrics.increment("disk_cache_hits")
-                else:
-                    unique.append(pending)
-        elif cache_dir is not None:
-            for pending in candidates:
-                cached = _load_cached(pending.point, cache_dir)
-                if cached is not None:
-                    computed[pending.key] = cached
-                    self.metrics.increment("disk_cache_hits")
-                else:
-                    unique.append(pending)
-        else:
-            unique = candidates
-        merged: Dict[str, ExperimentResult] = {}
-        if len(unique) > 1:
-            merged = self._run_merged(session, unique)
-        if merged:
-            computed.update(merged)
-        else:
-            for pending in unique:
-                computed[pending.key] = self._run_single(session, pending)
-        if store is not None:
-            fresh = [
-                (pending.key, computed[pending.key])
-                for pending in unique
-                if isinstance(computed.get(pending.key), ExperimentResult)
-            ]
-            if fresh:
-                try:
-                    store.append_many(fresh)
-                except PackedStoreLockedError as error:
-                    # Persisting is best-effort for a live service: a
-                    # concurrent writer must not fail the request.
-                    warnings.warn(
-                        f"skipping packed-store append ({error}); results "
-                        "served from memory only",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-        elif cache_dir is not None:
-            for pending in unique:
-                outcome = computed.get(pending.key)
-                if isinstance(outcome, ExperimentResult):
-                    _store_cached(pending.point, outcome, cache_dir)
+        if len({pending.request.config for pending in group}) > 1:
+            self.metrics.increment("cross_config_groups")
+        outcomes: Dict[str, Union[ExperimentResult, Exception]] = dict(
+            self._probe_disk(group)
+        )
+        misses = [p for p in group if p.key not in outcomes]
+        computed = execute_points([p.point for p in misses], self._pool)
+        self.metrics.set_gauge("sessions", len(self._pool))
+        fresh: List[Tuple[SweepPoint, ExperimentResult]] = []
+        for pending, outcome in zip(misses, computed):
+            if pending.key in outcomes:
+                continue  # a duplicate request; the core ran it once
+            if isinstance(outcome, SweepPointError):
+                failure = RunFailedError(str(outcome))
+                failure.__cause__ = outcome.__cause__
+                outcomes[pending.key] = failure
+            else:
+                outcomes[pending.key] = outcome
+                fresh.append((pending.point, outcome))
+        self._persist(fresh)
+        return [outcomes[pending.key] for pending in group]
 
-    def _run_single(
-        self, session: Experiment, pending: _Pending
-    ) -> Union[ExperimentResult, Exception]:
-        """One request, one ``Experiment.run``; failures become values."""
-        try:
-            return session.run(
-                pending.request.experiment, **pending.point.params
-            )
-        except Exception as error:
-            return RunFailedError(
-                f"experiment failed: {pending.point.describe()}: "
-                f"{type(error).__name__}: {error}"
-            )
-
-    def _run_merged(
-        self, session: Experiment, group: Sequence[_Pending]
+    def _probe_disk(
+        self, group: Sequence[_Pending]
     ) -> Dict[str, ExperimentResult]:
-        """Coalesce a group into one batched run and split the rows back.
+        """Disk-cache hits of a group's distinct requests, by cache key.
 
-        Mirrors the sweep shard executor's merge: the model lists are
-        concatenated into a single ``Experiment.run`` (one vectorized
-        cycle-model pass for the whole group) and the returned rows are
-        sliced back per request -- byte-identical to solo dispatch because
-        the vectorized kernel is elementwise per layer and row order
-        follows model order.  Returns ``{}`` on any failure so the caller
-        falls back to per-request execution.
+        Reading is best-effort like writing: a pack that cannot be read
+        (an ``OSError``) warns and counts as all misses, as an unreadable
+        per-file entry does in :func:`repro.api.sweep._load_cached`.
         """
-        first = group[0]
-        counts = [len(pending.request.models or ()) for pending in group]
-        models: List[str] = []
-        for pending in group:
-            models.extend(pending.request.models or ())
-        base_params = {
-            name: value
-            for name, value in first.point.params.items()
-            if name != "models"
-        }
-        try:
-            combined = session.run(
-                first.request.experiment, models=models, **base_params
-            )
-            if len(combined.rows) != len(models):
-                raise ValueError(
-                    f"merged run returned {len(combined.rows)} rows for "
-                    f"{len(models)} models"
-                )
-        except Exception:
+        cache_dir = self.config.cache_dir
+        if cache_dir is None:
             return {}
-        resolved = list(combined.params["models"])
-        outcomes: Dict[str, ExperimentResult] = {}
-        offset = 0
-        for pending, count in zip(group, counts):
-            params = dict(combined.params)
-            params["models"] = resolved[offset : offset + count]
-            outcomes[pending.key] = ExperimentResult(
-                experiment=combined.experiment,
-                rows=combined.rows[offset : offset + count],
-                params=params,
-                seed=combined.seed,
-                config=combined.config,
+        points = {pending.key: pending.point for pending in group}
+        if self._store is not None:
+            try:
+                self._store.maybe_refresh()
+                found = self._store.get_many(points)
+            except OSError as error:
+                warnings.warn(
+                    f"skipping result-cache read ({type(error).__name__}: "
+                    f"{error}); recomputing",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                return {}
+        else:
+            found = {}
+            for key, point in points.items():
+                cached = _load_cached(point, cache_dir)
+                if cached is not None:
+                    found[key] = cached
+        if found:
+            self.metrics.increment("disk_cache_hits", len(found))
+        return found
+
+    def _persist(
+        self, fresh: Sequence[Tuple[SweepPoint, ExperimentResult]]
+    ) -> None:
+        """Write computed results to the disk cache, best-effort.
+
+        One batched store append on the packed backend, one per-file write
+        each otherwise.  Persisting must never fail a live request: a
+        concurrent writer holding the pack lock or any ``OSError`` (a full
+        disk, a ``cache_dir`` that is not a directory) is reported with a
+        :class:`RuntimeWarning` and the results are served from memory.
+        """
+        cache_dir = self.config.cache_dir
+        if cache_dir is None or not fresh:
+            return
+        try:
+            if self._store is not None:
+                self._store.append_many(
+                    [(point.cache_key(), result) for point, result in fresh]
+                )
+            else:
+                for point, result in fresh:
+                    _store_cached(point, result, cache_dir)
+        except (PackedStoreLockedError, OSError) as error:
+            warnings.warn(
+                f"skipping result-cache write ({type(error).__name__}: "
+                f"{error}); results served from memory only",
+                RuntimeWarning,
+                stacklevel=2,
             )
-            offset += count
-        return outcomes
 
 
 # ---------------------------------------------------------------------------

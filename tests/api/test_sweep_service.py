@@ -28,7 +28,7 @@ from repro.api import (
     run_shard,
     run_sweep,
 )
-from repro.api.sweep import SweepPoint, run_point
+from repro.api.sweep import SessionPool, SweepPoint, execute_points, run_point
 
 GRID_KWARGS = dict(experiments=("fig7", "table4"), models=("alexnet", "mobilenetv2"))
 
@@ -179,6 +179,53 @@ class TestExecutorEquality:
         assert rebuilt.stats is None and rebuilt == sweep
 
 
+class TestExecutionCore:
+    def test_mixed_call_matches_run_point_and_returns_failures(self):
+        # One call: two configs, a multi-model point merged with a
+        # single-model one, two points with one cache key, a model-free
+        # point and a point that cannot run.
+        points = [
+            SweepPoint("fig7", params={"models": ["alexnet"]}),
+            SweepPoint(
+                "fig7", config="dense-baseline", params={"models": ["alexnet"]}
+            ),
+            SweepPoint("fig7", params={"models": ["mobilenetv2", "alexnet"]}),
+            SweepPoint("fig7", params={"models": ["alexnet"]}),
+            SweepPoint(
+                "fig7",
+                config="dense-baseline",
+                params={"models": ["no-such-model"]},
+            ),
+            SweepPoint("table4", config="dense-baseline"),
+        ]
+        assert points[3].cache_key() == points[0].cache_key()
+        pool = SessionPool()
+        outcomes = execute_points(points, pool)
+        assert len(outcomes) == len(points)
+        assert len(pool) == 2  # one session per (config, seed, engine)
+        failure = outcomes[4]
+        assert isinstance(failure, SweepPointError)
+        assert failure.point == points[4]
+        assert "no-such-model" in str(failure)
+        assert isinstance(failure.__cause__, KeyError)
+        for point, outcome in zip(points, outcomes):
+            if point is points[4]:
+                continue
+            assert isinstance(outcome, ExperimentResult)
+            assert outcome.to_json() == run_point(point)[0].to_json()
+
+    def test_pool_shares_one_profile_cache_per_seed_and_engine(self):
+        pool = SessionPool()
+        base = pool.get("paper-28nm", 0, "vectorized")
+        clone = pool.get("dense-baseline", 0, "vectorized")
+        other_seed = pool.get("paper-28nm", 1, "vectorized")
+        assert pool.get("paper-28nm", 0, "vectorized") is base
+        assert clone.config_name == "dense-baseline" and clone.seed == 0
+        assert clone._profiles is base._profiles
+        assert other_seed._profiles is not base._profiles
+        assert len(pool) == 3
+
+
 class TestFailureAttribution:
     def test_failing_point_identified_and_chained(self, monkeypatch):
         real_experiment = sweep_module.Experiment
@@ -199,6 +246,31 @@ class TestFailureAttribution:
         assert "injected fault" in message
         assert info.value.point is not None
         assert info.value.point.params["models"] == ["mobilenetv2"]
+
+    def test_failing_shard_caches_its_successful_points(
+        self, tmp_path, monkeypatch
+    ):
+        real_experiment = sweep_module.Experiment
+
+        class Exploding(real_experiment):
+            def run(self, experiment, **params):
+                if "mobilenetv2" in (params.get("models") or []):
+                    raise RuntimeError("injected fault")
+                return super().run(experiment, **params)
+
+        monkeypatch.setattr(sweep_module, "Experiment", Exploding)
+        plan = ShardPlanner(shards=1).plan(build_grid(**GRID_KWARGS))
+        (shard,) = plan.shards
+        with pytest.raises(SweepPointError, match="mobilenetv2"):
+            run_shard(shard, cache_dir=tmp_path)
+        cached = {path.stem for path in tmp_path.glob("*.json")}
+        healthy = {
+            point.cache_key()
+            for point in shard.points
+            if point.params.get("models") != ["mobilenetv2"]
+        }
+        assert len(healthy) == len(shard) - 1
+        assert cached == healthy
 
     def test_error_is_picklable_with_point(self):
         import pickle

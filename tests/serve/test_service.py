@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+import repro.api.sweep as sweep_module
 from repro.api.experiment import Experiment
 from repro.serve import (
     DeadlineExceededError,
@@ -137,7 +138,7 @@ class TestServiceDispatch:
 
     def test_cross_config_requests_coalesce_byte_identical(self):
         """Requests differing only in config share one coalesce bucket,
-        ride the config-fused grid prime, and split back bytewise."""
+        run on their per-config sessions, and split back bytewise."""
 
         configs = ("paper-28nm", "dense-baseline", "weight-sparsity-only")
 
@@ -313,8 +314,18 @@ class TestServiceDispatch:
             expected = direct_result(RunRequest("fig7", models=(model,)))
             assert outcome.result.to_json() == expected.to_json()
 
-    def test_experiment_failure_is_typed_and_isolated(self):
+    def test_experiment_failure_is_typed_and_isolated(self, monkeypatch):
         """A failing run maps to RunFailedError without killing the service."""
+        real_experiment = sweep_module.Experiment
+
+        class Exploding(real_experiment):
+            def run(self, experiment, **params):
+                if "mobilenetv2" in (params.get("models") or []):
+                    raise RuntimeError("boom")
+                return super().run(experiment, **params)
+
+        # Served sessions are built by the shared execution core's pool.
+        monkeypatch.setattr(sweep_module, "Experiment", Exploding)
 
         async def scenario():
             service = ExperimentService(
@@ -322,20 +333,89 @@ class TestServiceDispatch:
             )
             await service.start()
             try:
-                def boom(session, pending):
-                    return RunFailedError("experiment failed: boom")
-
-                service._run_single = boom
-                service._run_merged = lambda session, group: {}
                 with pytest.raises(RunFailedError, match="boom"):
                     await service.submit(
-                        RunRequest("fig7", models=("alexnet",))
+                        RunRequest("fig7", models=("mobilenetv2",))
                     )
-                return service.metrics.counter("failed_total")
+                good = await service.submit(
+                    RunRequest("fig7", models=("alexnet",))
+                )
+                return good, service.metrics.counter("failed_total")
             finally:
                 await service.close()
 
-        assert asyncio.run(scenario()) == 1
+        good, failed = asyncio.run(scenario())
+        assert failed == 1
+        expected = direct_result(RunRequest("fig7", models=("alexnet",)))
+        assert good.result.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("backend", ["files", "packed"])
+    @pytest.mark.filterwarnings("ignore:.*unreadable:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:skipping result-cache read")
+    def test_cache_write_error_keeps_batcher_running(self, tmp_path, backend):
+        """A cache_dir that cannot be written degrades to memory-only
+        serving with a warning; it must not end the batcher task."""
+        not_a_directory = tmp_path / "cache"
+        not_a_directory.write_text("")
+        request = RunRequest("table4")
+
+        async def scenario():
+            service = ExperimentService(
+                ServeConfig(
+                    batch_window_s=0.0,
+                    hot_cache_size=0,
+                    cache_dir=not_a_directory,
+                    cache_backend=backend,
+                )
+            )
+            await service.start()
+            try:
+                first = await service.submit(request)
+                second = await service.submit(request)
+                return first, second, not service._batcher.done()
+            finally:
+                await service.close()
+
+        with pytest.warns(RuntimeWarning, match="skipping result-cache write"):
+            first, second, running = asyncio.run(scenario())
+        assert running
+        expected = direct_result(request).to_json()
+        assert first.result.to_json() == expected
+        assert second.result.to_json() == expected
+        assert not first.cache_hit and not second.cache_hit
+
+    def test_unexpected_dispatch_error_fails_only_its_group(self):
+        """An exception escaping group execution fails that group's
+        requests with RunFailedError; the batcher serves the next one."""
+
+        async def scenario():
+            service = ExperimentService(
+                ServeConfig(batch_window_s=0.0, hot_cache_size=0)
+            )
+            await service.start()
+            original = service._execute_group
+            calls = []
+
+            def flaky(group):
+                calls.append(len(group))
+                if len(calls) == 1:
+                    raise OSError("disk on fire")
+                return original(group)
+
+            service._execute_group = flaky
+            try:
+                with pytest.raises(RunFailedError, match="disk on fire"):
+                    await service.submit(RunRequest("table4"))
+                outcome = await service.submit(RunRequest("table4"))
+                failed = service.metrics.counter("failed_total")
+                return outcome, failed, not service._batcher.done()
+            finally:
+                await service.close()
+
+        outcome, failed, running = asyncio.run(scenario())
+        assert running and failed == 1
+        expected = direct_result(RunRequest("table4"))
+        assert outcome.result.to_json() == expected.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ every Fig. 7 sparsity variant.  Exact ``==`` comparisons, no tolerances.
 import pytest
 
 from repro.api.configs import get_config, list_configs
+from repro.arch.energy import EnergyModel
 from repro.sim import ProfileArrays
+from repro.sim.vectorized import profile_arrays, simulate_jobs
 from repro.sim.cycle_model import DEFAULT_ENGINE, ENGINES, SPARSITY_VARIANTS, CycleModel
 from repro.workloads import get_workload, list_workloads, profile_model
 
@@ -66,7 +68,13 @@ class TestEngineEquivalence:
                 for preset in ("paper-28nm", "paper-28nm-8macro"):
                     jobs.append((profiles[name], variant))
                     configs.append(get_config(preset))
-        batched = model.run_batch(jobs, configs=configs)
+        variant_configs = [
+            model.variant_config_of(config, variant)
+            for (_, variant), config in zip(jobs, configs)
+        ]
+        batched = model.engine_spec.run_jobs(
+            model, jobs, configs, variant_configs
+        )
         assert len(batched) == len(jobs)
         for (profile, variant), config, result in zip(jobs, configs, batched):
             reference = CycleModel(config, engine="scalar").run_model(
@@ -95,10 +103,10 @@ class TestEngineSelection:
             CycleModel(engine="turbo")
 
     def test_mismatched_configs_length_rejected(self, profiles):
-        model = CycleModel()
+        arrays = profile_arrays(profiles["alexnet"])
         with pytest.raises(ValueError, match="configs"):
-            model.run_batch(
-                [(profiles["alexnet"], "hybrid")], configs=[model.config] * 2
+            simulate_jobs(
+                [arrays], [get_config("paper-28nm")] * 2, EnergyModel()
             )
 
     def test_empty_batch(self):
