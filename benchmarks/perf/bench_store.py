@@ -1,14 +1,14 @@
 """Micro-benchmark: the packed sweep result store's warm path.
 
 Times a **warm-cache** re-sweep of a large single-experiment grid (the
-model-free table4 point swept across many seeds) on both cache backends
--- ``files`` (one JSON file per point) and ``packed`` (one append-only
-data file + offset index, restored through a single batched read and ONE
-fsynced journal write) -- plus the batched vs per-point cache-key paths
-and the files-to-packed migration.  Every timing is gated on exact result
-equality with a reference sweep; results are written to
-``BENCH_store.json`` so the repository accumulates a perf trajectory
-across PRs.
+model-free table4 point swept across many seeds) on the packed result
+store (one append-only data file + offset index, restored through a
+single batched read and ONE fsynced journal write), the batched vs
+per-point cache-key paths, and the migrate-on-open of a legacy per-file
+cache directory (one ``{cache_key}.json`` per point).  Every timing is
+gated on exact result equality with a reference sweep; results are
+written to ``BENCH_store.json`` so the repository accumulates a perf
+trajectory across PRs.
 
 All phases are single-process and I/O-bound, so the numbers are largely
 core-count independent; ``cpu_count`` is still recorded so snapshots from
@@ -28,26 +28,23 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import __version__
 from repro.api import run_sweep
 from repro.api.sweep import build_grid, cache_keys_for_grid
-from repro.store import migrate_files_to_packed
+from repro.store import PackedResultStore
 
-#: The grid both backends are timed on: one model-free experiment fanned
-#: out across seeds, so ``--points`` directly sets the grid size.
+#: The grid every phase is timed on: one model-free experiment fanned out
+#: across seeds, so ``--points`` directly sets the grid size.
 EXPERIMENT = "table4"
 
-#: Acceptance floors the report records (see ISSUE/PR 9): warm re-sweeps
-#: on the packed backend must beat the per-file cache by at least 5x, and
-#: batched grid keys must beat per-point keys by at least 3x.
-WARM_SPEEDUP_FLOOR = 5.0
+#: Acceptance floor the report records: batched grid keys must beat
+#: per-point keys by at least 3x.
 KEYS_SPEEDUP_FLOOR = 3.0
 
 
@@ -82,7 +79,7 @@ def _time_keys(points: int, repeats: int) -> Dict[str, float]:
 
 
 def run_benchmark(points: int, repeats: int) -> Dict[str, object]:
-    """Benchmark both cache backends and return the report payload."""
+    """Benchmark the packed store and return the report payload."""
     kwargs = _grid_kwargs(points)
     report: Dict[str, object] = {
         "benchmark": "store",
@@ -95,66 +92,56 @@ def run_benchmark(points: int, repeats: int) -> Dict[str, object]:
     }
     with tempfile.TemporaryDirectory(prefix="bench-store-") as scratch:
         root = Path(scratch)
-        files_cache = root / "files"
-        packed_cache = root / "packed"
+        cache = root / "packed"
 
         start = time.perf_counter()
         reference = run_sweep(
             **kwargs,
-            cache_dir=files_cache,
-            executor="serial",
+            cache_dir=cache,
+            transport="serial",
             journal=root / "cold.jsonl",
         )
-        report["cold_files_s"] = time.perf_counter() - start
+        report["cold_packed_s"] = time.perf_counter() - start
         expected = [result.to_dict() for result in reference.results]
 
-        # Migration: the packed cache starts life as a copy of the
-        # per-file cache and is converted in place.
-        shutil.copytree(files_cache, packed_cache)
+        # Migrate-on-open: a legacy per-file directory holding the same
+        # results is ingested by the first store that opens it.
+        legacy = root / "legacy"
+        legacy.mkdir()
+        keys = cache_keys_for_grid(build_grid(**kwargs))
+        for key, result in zip(keys, reference.results):
+            result.save(legacy / f"{key}.json")
         start = time.perf_counter()
-        migrated = migrate_files_to_packed(packed_cache)
+        migrated = len(PackedResultStore(legacy))
         report["migrate_s"] = time.perf_counter() - start
         if migrated != points:
             raise AssertionError(
                 f"migration ingested {migrated} of {points} cache entries"
             )
 
-        def _time_warm(cache_dir: Path, backend: str, tag: str) -> float:
-            best = float("inf")
-            for repeat in range(repeats):
-                journal = root / f"warm-{tag}-{repeat}.jsonl"
-                start = time.perf_counter()
-                sweep = run_sweep(
-                    **kwargs,
-                    cache_dir=cache_dir,
-                    cache_backend=backend,
-                    executor="serial",
-                    journal=journal,
+        best = float("inf")
+        for repeat in range(repeats):
+            start = time.perf_counter()
+            sweep = run_sweep(
+                **kwargs,
+                cache_dir=cache,
+                transport="serial",
+                journal=root / f"warm-{repeat}.jsonl",
+            )
+            best = min(best, time.perf_counter() - start)
+            # Correctness gate: a warm run must reproduce the cold results
+            # exactly and never recompute a point.
+            got = [result.to_dict() for result in sweep.results]
+            if got != expected or sweep.cache_hits != points:
+                raise AssertionError(
+                    "warm re-sweep diverges from the cold reference; run "
+                    "tests/store/test_packed_store.py for details"
                 )
-                best = min(best, time.perf_counter() - start)
-                # Correctness gate: a warm run must reproduce the cold
-                # results exactly and never recompute a point.
-                got = [result.to_dict() for result in sweep.results]
-                if got != expected or sweep.cache_hits != points:
-                    raise AssertionError(
-                        f"warm {backend!r} re-sweep diverges from the cold "
-                        "reference; run tests/store/test_packed_store.py "
-                        "for details"
-                    )
-            return best
-
-        report["warm_files_s"] = _time_warm(files_cache, "files", "files")
-        report["warm_packed_s"] = _time_warm(packed_cache, "packed", "packed")
+        report["warm_packed_s"] = best
 
     report["keys"] = _time_keys(points, repeats)
-    report["warm_packed_speedup"] = (
-        report["warm_files_s"] / report["warm_packed_s"]
-    )
     report["keys_batched_speedup"] = (
         report["keys"]["per_point_s"] / report["keys"]["batched_s"]
-    )
-    report["meets_warm_floor"] = (
-        report["warm_packed_speedup"] >= WARM_SPEEDUP_FLOOR
     )
     report["meets_keys_floor"] = (
         report["keys_batched_speedup"] >= KEYS_SPEEDUP_FLOOR
@@ -187,19 +174,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    points = report["points"]
     print(f"{'phase':<24}{'time (ms)':>12}")
-    print(f"{'cold files':<24}{report['cold_files_s'] * 1e3:>12.1f}")
-    print(f"{'migrate':<24}{report['migrate_s'] * 1e3:>12.1f}")
-    print(f"{'warm files':<24}{report['warm_files_s'] * 1e3:>12.1f}")
+    print(f"{'cold packed':<24}{report['cold_packed_s'] * 1e3:>12.1f}")
+    print(f"{'migrate on open':<24}{report['migrate_s'] * 1e3:>12.1f}")
     print(f"{'warm packed':<24}{report['warm_packed_s'] * 1e3:>12.1f}")
     print(f"{'keys per-point':<24}{report['keys']['per_point_s'] * 1e3:>12.1f}")
     print(f"{'keys batched':<24}{report['keys']['batched_s'] * 1e3:>12.1f}")
-    print(
-        f"warm packed vs files: {report['warm_packed_speedup']:.2f}x "
-        f"on {points} points (floor {WARM_SPEEDUP_FLOOR}x: "
-        f"{'met' if report['meets_warm_floor'] else 'MISSED'})"
-    )
     print(
         f"batched vs per-point keys: {report['keys_batched_speedup']:.2f}x "
         f"(floor {KEYS_SPEEDUP_FLOOR}x: "

@@ -36,11 +36,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import __version__
 from repro.api import run_sweep
-from repro.api.sweep import EXECUTORS
 from repro.workloads import list_workloads
 
 #: The grid every executor is timed on.
 EXPERIMENTS = ("fig7",)
+
+#: The local shard transports the benchmark compares.
+EXECUTORS = ("serial", "thread", "process")
 
 
 def _time_cold(executor: str, models: Sequence[str], repeats: int) -> float:
@@ -53,7 +55,7 @@ def _time_cold(executor: str, models: Sequence[str], repeats: int) -> float:
                 experiments=EXPERIMENTS,
                 models=models,
                 cache_dir=cache,
-                executor=executor,
+                transport=executor,
             )
             best = min(best, time.perf_counter() - start)
     return best
@@ -95,7 +97,7 @@ def run_benchmark(
     reference = None
     for executor in executors:
         sweep = run_sweep(
-            experiments=EXPERIMENTS, models=models, executor=executor
+            experiments=EXPERIMENTS, models=models, transport=executor
         )
         if reference is None:
             reference = sweep.results

@@ -198,17 +198,14 @@ def test_bench_store_emits_report(tmp_path):
     assert report["experiment"] == "table4"
     assert report["points"] == 24
     assert report["cpu_count"] >= 1
-    assert report["warm_files_s"] > 0 and report["warm_packed_s"] > 0
+    assert report["cold_packed_s"] > 0 and report["warm_packed_s"] > 0
+    assert report["migrate_s"] > 0
     assert report["keys"]["batched_s"] > 0
-    assert report["warm_packed_speedup"] == (
-        report["warm_files_s"] / report["warm_packed_s"]
-    )
     assert report["keys_batched_speedup"] == (
         report["keys"]["per_point_s"] / report["keys"]["batched_s"]
     )
     # No timing floors here: 24 points on a shared CI box is noise.  The
     # committed BENCH_store.json carries the real 2048-point numbers.
-    assert isinstance(report["meets_warm_floor"], bool)
     assert isinstance(report["meets_keys_floor"], bool)
 
 

@@ -71,11 +71,7 @@ from .results import (
     WeightSparsityRow,
 )
 from .sweep import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
-    DEFAULT_EXECUTOR,
     DEFAULT_TRANSPORT,
-    EXECUTORS,
     ShardPlan,
     ShardPlanner,
     SweepJournal,
@@ -129,12 +125,8 @@ __all__ = [
     "format_result",
     "format_sweep",
     # sweep service
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "DEFAULT_TRANSPORT",
     "transport_names",
-    "CACHE_BACKENDS",
-    "DEFAULT_CACHE_BACKEND",
     "SweepPoint",
     "SweepShard",
     "ShardPlan",

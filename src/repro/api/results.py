@@ -435,9 +435,9 @@ class SweepStats:
     byte-identical to an uninterrupted run.
 
     Attributes:
-        executor: backend that ran the shards (``"serial"``, ``"thread"``
-            or ``"process"``).
-        max_workers: worker count of the executor pool.
+        executor: name of the shard transport that ran the sweep
+            (``"serial"``, ``"thread"``, ``"process"``, ``"broker"``, ...).
+        max_workers: worker count the transport ran with.
         shards: shards the planner produced for this invocation.
         warm_points: points planned as on-disk cache loads.
         cold_points: points planned as simulator executions.
@@ -463,7 +463,7 @@ class SweepResult(_JsonEnvelope):
         cache_hits: points deserialised from the on-disk cache.
         cache_misses: points that executed the simulator.
         schema_version: serialisation schema version stamp.
-        stats: executor/shard/timing statistics of the invocation that
+        stats: transport/shard/timing statistics of the invocation that
             produced this result (see :class:`SweepStats`); ``None`` on
             results rebuilt from JSON.  Not serialised and not compared.
     """

@@ -21,9 +21,10 @@ that fan-out into a small *service*:
   :func:`repro.sim.vectorized.simulate_jobs` shard-sized kernel, and the
   per-point results are split back out (bitwise identical to point-at-a-time
   execution -- the vectorized kernel is elementwise per layer);
-* :func:`run_shard` executes one shard: cached points are deserialised,
-  cold points run through :func:`execute_points` and are written back;
-* :func:`run_sweep` dispatches the shards over a pluggable *shard
+* :func:`run_shard` executes one shard's points through
+  :func:`execute_points`, cache-less -- the coordinator owns the cache;
+* :func:`run_sweep` restores warm points in one batched store read and
+  dispatches the cold shards over a pluggable *shard
   transport* (:mod:`repro.dist`) -- ``"process"``
   (:class:`~concurrent.futures.ProcessPoolExecutor`, the fast path for
   cold CPU-bound sweeps: the cycle model holds the GIL in pure-Python
@@ -31,9 +32,8 @@ that fan-out into a small *service*:
   I/O-bound sweeps; keeps user-registered presets visible without
   shipping them), ``"serial"``, or ``"broker"`` (a distributed
   lease-and-requeue fabric coordinating ``repro worker`` processes over a
-  shared ``sweep_dir``; every transport produces byte-identical results;
-  the historical ``executor=`` knob remains as a deprecated alias) --
-  and, when a ``journal`` path is given, streams every finished shard to
+  shared ``sweep_dir``; every transport produces byte-identical results)
+  -- and, when a ``journal`` path is given, streams every finished shard to
   an append-only ``sweep.jsonl`` (:class:`SweepJournal`).  An
   interrupted sweep re-invoked with
   ``resume=True`` restores journaled points without recomputing them and
@@ -42,11 +42,14 @@ that fan-out into a small *service*:
   without a pre-populated cache; the hit/miss counters report the work
   each invocation actually performed).
 
-The on-disk point cache is keyed by a content hash of the point (experiment
-id, canonical parameters, seed, engine, schema/package versions and the full
-hardware configuration digest); entries are written atomically (unique temp
-file + ``os.replace``) and unreadable entries are treated as misses with a
-warning instead of poisoning later runs.
+The on-disk result cache is the packed store
+(:class:`repro.store.PackedResultStore`), keyed by a content hash of the
+point (experiment id, canonical parameters, seed, engine, schema/package
+versions and the full hardware configuration digest).  Every cache access
+goes through one best-effort helper pair, :func:`_load_cached` /
+:func:`_store_cached`: an unreadable or unusable cache warns and reads as
+misses, and a failed write warns and leaves the results uncached, instead
+of failing the sweep or poisoning later runs.
 
 Example::
 
@@ -66,12 +69,13 @@ import os
 import threading
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -90,7 +94,7 @@ from ..dist.transport import (
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import get_engine, resolve_cycle_model_engine
-from ..store import PackedResultStore, PackedStoreLockedError
+from ..store import PackedResultStore, PackedStoreError
 from .configs import config_digest, get_config, register_config
 from .experiment import EXPERIMENTS, Experiment, get_experiment_spec
 from .results import (
@@ -103,11 +107,7 @@ from .results import (
 
 __all__ = [
     "DEFAULT_SWEEP_EXPERIMENTS",
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "DEFAULT_TRANSPORT",
-    "CACHE_BACKENDS",
-    "DEFAULT_CACHE_BACKEND",
     "SweepPoint",
     "SweepShard",
     "ShardPlan",
@@ -136,36 +136,6 @@ DEFAULT_SWEEP_EXPERIMENTS = (
     "program",
     "graph",
 )
-
-#: The historical executor backends, kept as the accepted values of the
-#: deprecated ``executor=`` knob.  Each name is also a registered shard
-#: transport (see :mod:`repro.dist.transport`); new callers should pass
-#: ``transport=`` instead, which additionally accepts distributed
-#: transports such as ``"broker"``.
-EXECUTORS = ("serial", "thread", "process")
-
-#: Backend used when none is requested (the value the deprecated
-#: ``executor=`` knob defaulted to; identical to
-#: :data:`repro.dist.transport.DEFAULT_TRANSPORT`).  ``"thread"`` is the
-#: conservative default (warm caches deserialise I/O-bound,
-#: user-registered presets stay visible without shipping); pass
-#: ``transport="process"`` for cold CPU-bound grids on multi-core
-#: machines.
-DEFAULT_EXECUTOR = "thread"
-
-#: Selectable sweep cache backends: ``"files"`` is the legacy layout (one
-#: atomic ``{cache_key}.json`` per point), ``"packed"`` is the append-only
-#: single-artifact store (:class:`repro.store.PackedResultStore`) whose
-#: warm path is one index probe plus one batched sequential read for the
-#: whole grid.  Both are keyed by the same content-hash cache keys, so a
-#: directory can be migrated in place
-#: (:func:`repro.store.migrate_files_to_packed`) and the backends produce
-#: byte-identical :class:`~repro.api.results.SweepResult` s.
-CACHE_BACKENDS = ("files", "packed")
-
-#: Cache backend used when none is requested (the legacy per-file layout).
-DEFAULT_CACHE_BACKEND = "files"
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -215,8 +185,8 @@ class SweepPoint:
         being modified.)
 
         The key is memoized on the instance after the first call (the
-        point is frozen, so it can never change): the planner, cache path
-        and journal all ask for it, and re-hashing the full configuration
+        point is frozen, so it can never change): the planner, the cache
+        and the journal all ask for it, and re-hashing the full configuration
         digest each time dominated the warm path.  Grids compute keys in
         one batch via :func:`cache_keys_for_grid`.
         """
@@ -249,15 +219,27 @@ class SweepPointError(RuntimeError):
     message identifies the failing (experiment, config, seed, engine,
     params) cell and chains the original exception, and outstanding shard
     futures are cancelled.
+
+    Attributes:
+        point: the failed point (``None`` when unknown).
+        completed: the failing shard's successful ``(grid index, result,
+            cache_hit)`` outcomes, which :func:`run_sweep` caches before
+            re-raising (empty outside a shard).
     """
 
-    def __init__(self, message: str, point: Optional[SweepPoint] = None) -> None:
+    def __init__(
+        self,
+        message: str,
+        point: Optional[SweepPoint] = None,
+        completed: Sequence[Tuple[int, ExperimentResult, bool]] = (),
+    ) -> None:
         super().__init__(message)
         self.point = point
+        self.completed = tuple(completed)
 
     def __reduce__(self):
-        """Preserve the ``point`` attribute across process boundaries."""
-        return (type(self), (self.args[0], self.point))
+        """Preserve ``point`` and ``completed`` across process boundaries."""
+        return (type(self), (self.args[0], self.point, self.completed))
 
 
 def build_grid(
@@ -417,62 +399,68 @@ def _get_workload(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Point cache (atomic writes, corruption-tolerant reads)
+# Result cache (one packed store, best-effort batched reads and writes)
 # ---------------------------------------------------------------------------
-def _cache_path(point: SweepPoint, cache_dir: Union[str, Path]) -> Path:
-    """On-disk location of one point's cached result."""
-    return Path(cache_dir) / f"{point.cache_key()}.json"
+def _open_store(
+    cache_dir: Optional[Union[str, Path]]
+) -> Optional[PackedResultStore]:
+    """The result cache of ``cache_dir`` (``None`` disables caching)."""
+    return PackedResultStore(cache_dir) if cache_dir is not None else None
+
+
+def _warn_cache(action: str, error: Exception, consequence: str) -> None:
+    """Report a cache access that failed and was skipped."""
+    warnings.warn(
+        f"skipping result-cache {action} ({type(error).__name__}: {error}); "
+        f"{consequence}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _load_cached(
-    point: SweepPoint, cache_dir: Optional[Union[str, Path]]
-) -> Optional[ExperimentResult]:
-    """Deserialise a point's cached result, or ``None`` on a miss.
+    store: Optional[PackedResultStore], keys: Iterable[str]
+) -> Dict[str, ExperimentResult]:
+    """The cached results of ``keys`` present in ``store``, by cache key.
 
-    A truncated or otherwise unreadable entry must never brick the sweep:
-    it is reported with a :class:`RuntimeWarning` and treated as a miss, so
-    the point is recomputed and the entry atomically overwritten.  The
-    entry is opened directly -- no ``exists()`` pre-check -- so a hit costs
-    one filesystem lookup instead of two and there is no window for the
-    entry to vanish between the check and the open.
+    One batched read (:meth:`~repro.store.PackedResultStore.get_many`),
+    after re-reading the index if another process appended since.  Reading
+    is best-effort: a pack that cannot be read (an ``OSError``) or used at
+    all (a :class:`~repro.store.PackedStoreError`: bad magic, unsupported
+    codec, a migration blocked by another writer) warns and reads as all
+    misses, and a damaged record is a miss (the store warns).
     """
-    if cache_dir is None:
-        return None
-    path = _cache_path(point, cache_dir)
+    if store is None:
+        return {}
     try:
-        return ExperimentResult.load(path)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        warnings.warn(
-            f"ignoring unreadable sweep-cache entry {path} "
-            f"({type(error).__name__}: {error}); recomputing the point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        store.maybe_refresh()
+        return store.get_many(keys)
+    except (OSError, PackedStoreError) as error:
+        _warn_cache("read", error, "recomputing")
+        return {}
 
 
 def _store_cached(
-    point: SweepPoint,
-    result: ExperimentResult,
-    cache_dir: Optional[Union[str, Path]],
-) -> None:
-    """Write a point's result to the cache (atomic temp-file + replace).
+    store: Optional[PackedResultStore],
+    entries: Sequence[Tuple[str, ExperimentResult]],
+) -> Dict[str, Tuple[int, int]]:
+    """Append ``(cache_key, result)`` entries to ``store`` in one batch.
 
-    The cache directory is created lazily, only when a write actually
-    fails for lack of it: :func:`run_sweep` creates the directory once up
-    front, so the per-point write path stays a single temp-file+replace
-    instead of paying an extra ``mkdir`` stat per point.
+    Writing is best-effort: a concurrent writer holding the pack lock, an
+    unusable pack or any ``OSError`` (a full disk, a ``cache_dir`` that is
+    not a directory) warns and leaves the results uncached.
+
+    Returns:
+        ``{cache_key: (offset, length)}`` store locations of ``entries``
+        (slim journal records carry them); empty when nothing was written.
     """
-    if cache_dir is None:
-        return
-    path = _cache_path(point, cache_dir)
+    if store is None or not entries:
+        return {}
     try:
-        result.save(path)
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        result.save(path)
+        return store.append_many(entries)
+    except (OSError, PackedStoreError) as error:
+        _warn_cache("write", error, "the results are not persisted")
+        return {}
 
 
 def run_point(
@@ -482,16 +470,18 @@ def run_point(
 
     Returns:
         ``(result, cache_hit)`` -- ``cache_hit`` is True when the result was
-        deserialised from the on-disk cache without running any simulation.
+        read from the on-disk cache without running any simulation.
     """
-    cached = _load_cached(point, cache_dir)
+    store = _open_store(cache_dir)
+    key = point.cache_key()
+    cached = _load_cached(store, (key,)).get(key)
     if cached is not None:
         return cached, True
     session = Experiment(
         config=point.config, seed=point.seed, engine=point.engine
     )
     result = session.run(point.experiment, **point.params)
-    _store_cached(point, result, cache_dir)
+    _store_cached(store, [(key, result)])
     return result, False
 
 
@@ -507,7 +497,7 @@ class SweepShard:
         indices: positions of the shard's points in the original grid.
         points: the grid points, in grid order.
         warm: True when every point had an on-disk cache entry at planning
-            time (the shard is expected to be I/O-bound deserialisation).
+            time (the coordinator restores such points itself).
         configs: the resolved ``(preset name, configuration)`` pairs of the
             shard's points.  Shipped with the shard so a process worker --
             whose fresh interpreter only knows the built-in presets -- can
@@ -547,7 +537,7 @@ class ShardPlan:
 
     @property
     def warm_points(self) -> int:
-        """Points expected to deserialise from the on-disk cache."""
+        """Points expected to restore from the on-disk cache."""
         return sum(len(s) for s in self.shards if s.warm)
 
 
@@ -563,8 +553,8 @@ class ShardPlanner:
     1. points already present in the run journal are set aside (their
        results are restored without touching a worker);
     2. the remainder is split by cache state -- *warm* points (cache entry
-       exists) are grouped separately from *cold* points, so a mostly-warm
-       re-run does not occupy process workers with deserialisation;
+       exists) are grouped separately from *cold* points; the coordinator
+       restores warm points itself, so workers only ever run cold ones;
     3. within each temperature, points are grouped by ``(seed, engine)``
        -- configurations deliberately stay *mixed* inside one group, so
        cold points that differ only in config land on one worker whose
@@ -573,10 +563,8 @@ class ShardPlanner:
        roughly ``total / shards`` points, preserving grid order.
 
     The warm/cold split costs ONE batched cache probe for the whole grid,
-    not one ``stat`` per point: the packed backend intersects the grid's
-    keys with the store's in-memory index
-    (:meth:`repro.store.PackedResultStore.probe`), the per-file backend
-    lists the cache directory once and matches key stems against it.
+    not one ``stat`` per point: the grid's keys are intersected with the
+    store's in-memory index (:meth:`repro.store.PackedResultStore.probe`).
 
     Args:
         cache_dir: the sweep's on-disk result cache (``None`` disables the
@@ -586,9 +574,6 @@ class ShardPlanner:
             different speeds).
         max_workers: the worker count the sweep will run with (used only to
             derive the default shard count).
-        cache_backend: ``"files"`` (legacy per-file cache) or ``"packed"``
-            (append-only :class:`repro.store.PackedResultStore`); see
-            :data:`CACHE_BACKENDS`.
     """
 
     def __init__(
@@ -596,39 +581,29 @@ class ShardPlanner:
         cache_dir: Optional[Union[str, Path]] = None,
         shards: Optional[int] = None,
         max_workers: Optional[int] = None,
-        cache_backend: str = DEFAULT_CACHE_BACKEND,
     ) -> None:
         if shards is not None and shards <= 0:
             raise ValueError("shards must be positive")
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {cache_backend!r}; expected one of "
-                f"{CACHE_BACKENDS}"
-            )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.shards = shards
         self.max_workers = max_workers
-        self.cache_backend = cache_backend
-        self.store: Optional[PackedResultStore] = (
-            PackedResultStore(self.cache_dir)
-            if cache_backend == "packed" and self.cache_dir is not None
-            else None
-        )
+        self.store = _open_store(self.cache_dir)
 
     def _probe_cache(self, keys: Sequence[str]) -> frozenset:
-        """The subset of ``keys`` with a cache entry -- one batched probe."""
-        if self.cache_dir is None:
+        """The subset of ``keys`` with a cache entry -- one batched probe.
+
+        Best-effort like :func:`_load_cached`: an unreadable or unusable
+        store warns and plans every point cold.
+        """
+        if self.store is None:
             return frozenset()
-        if self.store is not None:
-            return self.store.probe(keys)
         try:
-            names = os.listdir(self.cache_dir)
-        except OSError:
+            return self.store.probe(keys)
+        except (OSError, PackedStoreError) as error:
+            _warn_cache("read", error, "planning every point cold")
             return frozenset()
-        stems = {name[:-5] for name in names if name.endswith(".json")}
-        return frozenset(key for key in keys if key in stems)
 
     def _target_shards(self) -> int:
         """The shard count used when none was requested explicitly."""
@@ -884,28 +859,27 @@ def execute_points(
     return [outcomes[key] for key in keys]
 
 
-def run_shard(
-    shard: SweepShard, cache_dir: Optional[Union[str, Path]] = None
-) -> List[Tuple[int, ExperimentResult, bool]]:
-    """Execute one shard in the current process.
+def run_shard(shard: SweepShard) -> List[Tuple[int, ExperimentResult, bool]]:
+    """Execute one shard in the current process, cache-less.
 
-    This is the worker entry point of every executor backend (it is a
+    This is the worker entry point of every transport (it is a
     module-level function so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it).  Cached points are deserialised first; the remaining
-    cold points run through :func:`execute_points` on a fresh
-    :class:`SessionPool`, and each computed result is written to the cache.
+    can pickle it).  The shard's shipped configurations are registered,
+    then its points run through :func:`execute_points` on a fresh
+    :class:`SessionPool`.  Reading and writing the cache is the
+    coordinator's job (:func:`run_sweep`).
 
     Args:
         shard: the shard to execute (see :class:`ShardPlanner`).
-        cache_dir: the sweep's on-disk result cache (``None`` disables it).
 
     Returns:
-        ``(grid index, result, cache_hit)`` triples, sorted by grid index.
+        ``(grid index, result, cache_hit)`` triples (``cache_hit`` always
+        False), sorted by grid index.
 
     Raises:
         SweepPointError: when a point fails; identifies the offending point
-            (the first failed one in grid order).  The shard's successful
-            points are cached before it is raised.
+            (the first failed one in grid order) and carries the shard's
+            successful outcomes as :attr:`SweepPointError.completed`.
     """
     for name, config in shard.configs:
         try:
@@ -918,26 +892,19 @@ def run_shard(
             # parent overrode, which a spawn-started worker would otherwise
             # silently resolve to the built-in contents).
             register_config(name, config, overwrite=True)
+    computed = execute_points(shard.points, SessionPool())
     outcomes: List[Tuple[int, ExperimentResult, bool]] = []
-    pending: List[Tuple[int, SweepPoint]] = []
-    for index, point in zip(shard.indices, shard.points):
-        cached = _load_cached(point, cache_dir)
-        if cached is not None:
-            outcomes.append((index, cached, True))
-        else:
-            pending.append((index, point))
-
-    computed = execute_points([point for _, point in pending], SessionPool())
     failure: Optional[SweepPointError] = None
-    for (index, point), outcome in zip(pending, computed):
+    for index, outcome in sorted(
+        zip(shard.indices, computed), key=lambda pair: pair[0]
+    ):
         if isinstance(outcome, SweepPointError):
             failure = failure or outcome
-            continue
-        _store_cached(point, outcome, cache_dir)
-        outcomes.append((index, outcome, False))
+        else:
+            outcomes.append((index, outcome, False))
     if failure is not None:
+        failure.completed = tuple(outcomes)
         raise failure
-    outcomes.sort(key=lambda outcome: outcome[0])
     return outcomes
 
 
@@ -976,9 +943,9 @@ class SweepJournal:
          "engine": "...", "params": {...}, "cache_hit": false,
          "result": {... ExperimentResult.to_dict() ...}}
 
-    When the sweep runs on the packed cache backend, the result payload --
-    by far the largest part of every line, and already durable in the
-    store the moment the shard finished -- is replaced by a slim
+    When the sweep has a result cache, the result payload -- by far the
+    largest part of every line, and already durable in the store the
+    moment the shard finished -- is replaced by a slim
     ``"kind": "point-ref"`` record carrying the record's store location::
 
         {"kind": "point-ref", "schema_version": 1, "cache_key": "...",
@@ -1062,11 +1029,10 @@ class SweepJournal:
 
         Args:
             store: the packed result store slim ``"point-ref"`` records
-                resolve against, in one batched
-                :meth:`~repro.store.PackedResultStore.get_many` read.
-                Refs that cannot be resolved (no store given, or the
-                record is gone/damaged) are skipped with a warning -- the
-                points simply recompute.
+                resolve against, in one batched :func:`_load_cached` read.
+                Refs that cannot be resolved (no store given, an unusable
+                store, or the record is gone/damaged) are skipped with a
+                warning -- the points simply recompute.
         """
         entries: Dict[str, Tuple[Optional[ExperimentResult], bool]] = {}
         refs: set = set()
@@ -1116,7 +1082,7 @@ class SweepJournal:
                     entries[key] = (None, bool(payload.get("cache_hit")))
                     refs.add(key)
         if refs:
-            fetched = store.get_many(refs) if store is not None else {}
+            fetched = _load_cached(store, refs)
             for key in refs:
                 result = fetched.get(key)
                 if result is None:
@@ -1211,38 +1177,6 @@ class SweepJournal:
 # ---------------------------------------------------------------------------
 # The sweep service front door
 # ---------------------------------------------------------------------------
-def _resolve_transport_name(
-    transport: Optional[str], executor: Optional[str], stacklevel: int = 3
-) -> str:
-    """Fold the deprecated ``executor=`` alias into the transport name.
-
-    ``executor=`` keeps its historical contract exactly -- only the three
-    local backend names are accepted, unknown names raise the pinned
-    ``"unknown executor"`` :class:`ValueError` -- but now warns with a
-    :class:`DeprecationWarning` and maps onto the equally-named transport.
-    Passing both knobs with different values is a :class:`ValueError`
-    (silently preferring either would surprise someone mid-migration).
-    """
-    if executor is not None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        warnings.warn(
-            "executor= is deprecated; pass transport= instead (the "
-            "executor names map one-to-one onto the local transports)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        if transport is not None and transport != executor:
-            raise ValueError(
-                f"conflicting execution backends: transport={transport!r} "
-                f"vs deprecated executor={executor!r}; pass only transport="
-            )
-        return executor
-    return transport if transport is not None else DEFAULT_TRANSPORT
-
-
 def _create_transport(
     transport_name: str,
     sweep_dir: Optional[Union[str, Path]],
@@ -1274,22 +1208,23 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     params_by_experiment: Optional[Mapping[str, Mapping[str, Any]]] = None,
     engine: str = DEFAULT_ENGINE,
-    executor: Optional[str] = None,
     shards: Optional[int] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
     transport: Optional[str] = None,
     sweep_dir: Optional[Union[str, Path]] = None,
     transport_options: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
     """Run a grid of experiment points as a sharded, journaled sweep.
 
-    The grid is expanded by :func:`build_grid`, partitioned into shards by
-    :class:`ShardPlanner` (journal-restored points excluded, warm and cold
-    points separated, cold points grouped per worker session) and executed
-    by the selected backend; each finished shard is streamed to the JSONL
-    run journal, so killing the sweep loses at most the in-flight shards.
+    The grid is expanded by :func:`build_grid` and partitioned into shards
+    by :class:`ShardPlanner` (journal-restored points excluded, warm and
+    cold points separated, cold points grouped per worker session).  The
+    coordinator restores every warm point in one batched store read; the
+    cold shards run cache-less on the selected transport, and each
+    finished shard is appended to the store in one batch and streamed to
+    the JSONL run journal, so killing the sweep loses at most the
+    in-flight shards.
 
     Args:
         experiments: experiment ids (default: every non-training experiment).
@@ -1299,14 +1234,14 @@ def run_sweep(
         max_workers: worker threads/processes (default: one per shard,
             capped at the CPU count; ``1`` forces in-process execution for
             the ``thread`` backend).
-        cache_dir: directory for the JSON result cache (``None`` disables
-            caching).
+        cache_dir: directory of the packed result cache
+            (:class:`repro.store.PackedResultStore`; ``None`` disables
+            caching).  A directory of legacy per-file ``{cache_key}.json``
+            entries is migrated on open.  With a journal, shards journal
+            slim store-ref records.
         params_by_experiment: extra per-experiment parameters.
         engine: cycle-model engine evaluating every point (``"vectorized"``
             by default; part of each point's cache key).
-        executor: deprecated alias for ``transport`` (the historical knob;
-            accepts exactly the three local backend names and emits a
-            :class:`DeprecationWarning`).
         shards: target shard count (default: twice the worker count).
         journal: path of the append-only ``sweep.jsonl`` run journal
             (``None`` disables journaling).
@@ -1318,16 +1253,6 @@ def run_sweep(
             counters always report the work *this* invocation performed, so
             a point the killed run cached but did not journal legitimately
             counts as a hit on resume.)
-        cache_backend: ``"files"`` (the legacy one-JSON-file-per-point
-            cache) or ``"packed"`` (the append-only
-            :class:`repro.store.PackedResultStore`: one batched index
-            probe plans the grid, one batched sequential read restores
-            every warm point, one locked batch append per shard persists
-            cold results, and the journal switches to slim store-ref
-            records).  Both backends produce byte-identical results; an
-            existing per-file directory converts in place via
-            :func:`repro.store.migrate_files_to_packed`.  Ignored without
-            ``cache_dir``.
         transport: shard transport executing the sweep, by registry name
             (see :func:`repro.dist.transport.register_transport`):
             ``"thread"`` (default; warm-cache / I/O-bound re-runs),
@@ -1350,21 +1275,16 @@ def run_sweep(
         statistics in :attr:`~repro.api.results.SweepResult.stats`.
 
     Raises:
-        ValueError: on an unknown executor or transport, invalid transport
-            options, or ``resume`` without a journal.
-        SweepPointError: when a grid point fails (identifies the point).
+        ValueError: on an unknown transport, invalid transport options, or
+            ``resume`` without a journal.
+        SweepPointError: when a grid point fails (identifies the point;
+            the failing shard's successful points are cached first).
         repro.dist.WorkerLostError: a distributed shard exhausted its
             retry budget (its workers kept dying).
     """
-    transport_name = _resolve_transport_name(transport, executor)
-    transport_obj = _create_transport(
-        transport_name, sweep_dir, transport_options
-    )
-    if cache_backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {cache_backend!r}; expected one of "
-            f"{CACHE_BACKENDS}"
-        )
+    if transport is None:
+        transport = DEFAULT_TRANSPORT
+    transport_obj = _create_transport(transport, sweep_dir, transport_options)
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
     if max_workers is not None and max_workers <= 0:
@@ -1392,9 +1312,8 @@ def run_sweep(
             shards=shards,
             max_workers=max_workers,
             transport_obj=transport_obj,
-            transport_name=transport_name,
+            transport_name=transport,
             started=started,
-            cache_backend=cache_backend,
         )
     finally:
         if run_journal is not None:
@@ -1411,92 +1330,42 @@ def _run_sweep_locked(
     transport_obj: ShardTransport,
     transport_name: str,
     started: float,
-    cache_backend: str = DEFAULT_CACHE_BACKEND,
 ) -> SweepResult:
     """Body of :func:`run_sweep`, run while holding the journal lock."""
     planner = ShardPlanner(
-        cache_dir=cache_dir,
-        shards=shards,
-        max_workers=max_workers,
-        cache_backend=cache_backend,
+        cache_dir=cache_dir, shards=shards, max_workers=max_workers
     )
     store = planner.store
     restored: Dict[str, Tuple[ExperimentResult, bool]] = {}
     if run_journal is not None and resume:
         restored = run_journal.load(store=store)
     plan = planner.plan(grid, journaled_keys=restored.keys())
+    keys = plan.cache_keys
 
     outcomes: List[Optional[Tuple[ExperimentResult, bool]]] = [None] * len(grid)
     for index in plan.journaled:
-        outcomes[index] = restored[plan.cache_keys[index]]
+        outcomes[index] = restored[keys[index]]
     if run_journal is not None:
         run_journal.start(resume=resume)
-    if cache_dir is not None and store is None:
-        # Per-file backend: create the cache directory once up front so the
-        # per-point write path stays mkdir-free (see _store_cached).
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-
-    # Distributed transports run their workers cache-less (the cache
-    # directory may not even exist on the worker's host, and the packed
-    # backend has a single-writer rule); the coordinator persists merged
-    # results itself.  For the per-file backend that means writing each
-    # cold result here in _finish; the packed backend already persists
-    # coordinator-side via store.append_many.
-    persist_files = (
-        transport_obj.distributed and store is None and cache_dir is not None
-    )
 
     def _finish(
         points_by_index: Mapping[int, SweepPoint],
-        batch_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
-        label: str,
+        batch: Sequence[Tuple[int, ExperimentResult, bool]],
+        locations: Mapping[str, Tuple[int, int]],
     ) -> None:
-        """Record one finished batch: fill outcomes, persist, journal.
+        """Record one finished batch: fill outcomes, journal.
 
-        A "batch" is one executed shard -- or, on the packed backend, the
-        whole warm restore at once, so 10k warm points cost one store
-        append (a no-op), one ``locate`` and ONE fsynced journal write
-        instead of one per shard.
+        A batch is one executed shard or the whole warm restore, so 10k
+        warm points cost ONE fsynced journal write.  Points with a store
+        location journal as slim refs, the rest in full.
         """
-        for index, result, hit in batch_outcomes:
+        for index, result, hit in batch:
             outcomes[index] = (result, hit)
-        if persist_files:
-            for index, result, hit in batch_outcomes:
-                if not hit:
-                    _store_cached(points_by_index[index], result, cache_dir)
-        locations = None
-        if store is not None:
-            fresh = [
-                (plan.cache_keys[index], result)
-                for index, result, hit in batch_outcomes
-                if not hit
-            ]
-            try:
-                store.append_many(fresh)
-            except PackedStoreLockedError as error:
-                # Caching is best-effort: a concurrent writer holding the
-                # pack lock must not fail the sweep.  The journal falls
-                # back to full records for exactly these points.
-                warnings.warn(
-                    f"skipping packed-store append for {label} "
-                    f"({error}); journaling the results in full instead",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if run_journal is not None:
-                locations = store.locate(
-                    plan.cache_keys[index] for index, _, _ in batch_outcomes
-                )
         if run_journal is not None:
             run_journal.append(
                 [
-                    (
-                        points_by_index[index],
-                        plan.cache_keys[index],
-                        result,
-                        hit,
-                    )
-                    for index, result, hit in batch_outcomes
+                    (points_by_index[index], keys[index], result, hit)
+                    for index, result, hit in batch
                 ],
                 locations=locations,
             )
@@ -1505,86 +1374,76 @@ def _run_sweep_locked(
         shard: SweepShard,
         shard_outcomes: Sequence[Tuple[int, ExperimentResult, bool]],
     ) -> None:
-        _finish(
-            dict(zip(shard.indices, shard.points)),
-            shard_outcomes,
-            f"shard {shard.index}",
+        """Persist one executed shard in one store append, then record it."""
+        locations = _store_cached(
+            store, [(keys[index], result) for index, result, _ in shard_outcomes]
         )
+        _finish(dict(zip(shard.indices, shard.points)), shard_outcomes, locations)
 
-    if store is not None:
-        # Packed backend: the parent restores every warm point through ONE
-        # batched sequential store read; only cold shards go to workers,
-        # and they run cache-less (the parent owns the single pack writer).
-        exec_shards = tuple(s for s in plan.shards if not s.warm)
-        worker_cache_dir: Optional[Union[str, Path]] = None
-        warm_shards = [s for s in plan.shards if s.warm]
-        if warm_shards:
-            warm_points: Dict[int, SweepPoint] = {
-                index: point
-                for shard in warm_shards
-                for index, point in zip(shard.indices, shard.points)
-            }
-            fetched = store.get_many(
-                plan.cache_keys[index] for index in warm_points
+    # The coordinator owns the cache: it restores every warm point through
+    # ONE batched store read, and only cold shards go to the transport,
+    # whose workers run cache-less (the store has a single-writer rule, and
+    # a distributed worker may not even see the cache directory).
+    exec_shards = [s for s in plan.shards if not s.warm]
+    warm_points: Dict[int, SweepPoint] = {
+        index: point
+        for shard in plan.shards
+        if shard.warm
+        for index, point in zip(shard.indices, shard.points)
+    }
+    if warm_points:
+        fetched = _load_cached(store, (keys[index] for index in warm_points))
+        warm_hits = [
+            (index, fetched[keys[index]], True)
+            for index in warm_points
+            if keys[index] in fetched
+        ]
+        if warm_hits:
+            locations = (
+                store.locate(keys[index] for index, _, _ in warm_hits)
+                if store is not None and run_journal is not None
+                else {}
             )
-            hits: List[Tuple[int, ExperimentResult, bool]] = []
-            lost: List[Tuple[int, SweepPoint]] = []
-            for index, point in warm_points.items():
-                result = fetched.get(plan.cache_keys[index])
-                if result is None:
-                    lost.append((index, point))
-                else:
-                    hits.append((index, result, True))
-            _finish(warm_points, hits, "warm restore")
-            if lost:
-                # Records damaged (or truncated away) between planning and
-                # restore recompute exactly like cold points.
-                resolved: Dict[str, DBPIMConfig] = {}
-                for _, point in lost:
-                    if point.config not in resolved:
-                        resolved[point.config] = get_config(point.config)
-                recovery = SweepShard(
+            _finish(warm_points, warm_hits, locations)
+        lost = [(i, p) for i, p in warm_points.items() if keys[i] not in fetched]
+        if lost:
+            # Records damaged (or truncated away) between planning and
+            # restore recompute exactly like cold points.
+            resolved: Dict[str, DBPIMConfig] = {}
+            for _, point in lost:
+                if point.config not in resolved:
+                    resolved[point.config] = get_config(point.config)
+            exec_shards.append(
+                SweepShard(
                     index=len(plan.shards),
                     indices=tuple(index for index, _ in lost),
                     points=tuple(point for _, point in lost),
-                    warm=False,
                     configs=tuple(resolved.items()),
                 )
-                _finish_shard(recovery, run_shard(recovery, None))
-    else:
-        exec_shards = plan.shards
-        worker_cache_dir = cache_dir
-        if transport_obj.distributed:
-            # Workers may live on other hosts: they run cache-less and
-            # the coordinator persists (persist_files above).  Warm
-            # shards would be pointless network round-trips -- their
-            # results already sit in the local cache -- so the
-            # coordinator restores them inline, exactly like the packed
-            # backend's warm path.
-            worker_cache_dir = None
-            if cache_dir is not None:
-                exec_shards = tuple(s for s in plan.shards if not s.warm)
-                for shard in (s for s in plan.shards if s.warm):
-                    _finish_shard(shard, run_shard(shard, cache_dir))
+            )
 
     workers = max_workers or max(1, min(len(exec_shards), os.cpu_count() or 1))
-    # The transport owns the execution strategy (inline, pool, or a worker
-    # fleet over a shared directory); run_shard with the worker cache dir
-    # bound is the runner every backend executes (partial keeps it
-    # picklable for the process transport's pool).
-    transport_obj.run(
-        exec_shards,
-        partial(run_shard, cache_dir=worker_cache_dir),
-        _finish_shard,
-        workers,
-    )
+    # One store append per shard, one index rewrite for the whole sweep.
+    with store.deferred_index() if store is not None else nullcontext():
+        try:
+            # The transport owns the execution strategy (inline, pool, or a
+            # worker fleet over a shared directory); run_shard is the
+            # runner every transport executes.
+            transport_obj.run(exec_shards, run_shard, _finish_shard, workers)
+        except SweepPointError as error:
+            # A failing shard still caches its successful points.
+            _store_cached(
+                store,
+                [(keys[index], result) for index, result, _ in error.completed],
+            )
+            raise
 
     completed = [outcome for outcome in outcomes if outcome is not None]
     if len(completed) != len(grid):  # pragma: no cover - defensive
         raise RuntimeError("sweep finished with unexecuted grid points")
     hits = sum(1 for _, hit in completed if hit)
     stats = SweepStats(
-        executor=transport_name,
+        transport_name,
         max_workers=workers,
         shards=len(plan.shards),
         warm_points=plan.warm_points,

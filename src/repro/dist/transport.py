@@ -79,14 +79,14 @@ __all__ = [
 ]
 
 #: Transport used when none is requested: the conservative in-process
-#: thread pool (same default the deprecated ``executor=`` knob had).
+#: thread pool.
 DEFAULT_TRANSPORT = "thread"
 
 #: The outcome triples one executed shard produces, in grid order --
 #: exactly what :func:`repro.api.sweep.run_shard` returns.
 ShardOutcomes = List[Tuple[int, Any, bool]]
 
-#: A callable executing one shard (``run_shard`` with the cache dir bound).
+#: A callable executing one shard (:func:`repro.api.sweep.run_shard`).
 ShardRunner = Callable[[Any], ShardOutcomes]
 
 #: A callable recording one finished shard's outcomes (persist + journal).
@@ -170,10 +170,8 @@ class ShardTransport:
     #: Registry name (subclasses override).
     name = "abstract"
 
-    #: True when shards execute outside this process's address space (the
-    #: sweep service then keeps workers cache-less and persists results
-    #: coordinator-side, exactly like the packed backend's single-writer
-    #: rule).
+    #: True when shards execute outside this process's address space, on
+    #: workers coordinated through a shared ``sweep_dir``.
     distributed = False
 
     def __init__(self, max_attempts: int = 3) -> None:
@@ -267,8 +265,8 @@ class ShardTransport:
 
         Args:
             shards: the planned shards to execute.
-            runner: executes one shard (``run_shard`` with the worker
-                cache directory bound by the sweep service).
+            runner: executes one shard (:func:`repro.api.sweep.run_shard`,
+                cache-less).
             finish: coordinator-side completion hook (fills the outcome
                 table, persists to cache/journal); called exactly once
                 per shard, in completion order.
@@ -388,8 +386,8 @@ class TransportSpec:
         factory: builds a fresh :class:`ShardTransport` per sweep; called
             with the transport options ``run_sweep`` collected (e.g. the
             broker's ``sweep_dir`` / ``lease_ttl_s``).
-        distributed: shards execute outside the coordinator process (the
-            sweep keeps workers cache-less and persists coordinator-side).
+        distributed: shards execute outside the coordinator process, on
+            workers attached to a shared ``sweep_dir``.
     """
 
     name: str

@@ -10,9 +10,9 @@ fragment, release the lease, repeat.  A background thread refreshes the
 lease's heartbeat stamp while a shard runs, so a *busy* worker is never
 mistaken for a dead one by a cross-host coordinator.
 
-Workers run cache-less (``run_shard(shard, None)``): the coordinator owns
-the result cache and persists merged outcomes itself, which keeps the
-packed store's single-writer rule intact and the sweep's cache-hit
+Workers run cache-less, like every transport's: the coordinator owns the
+result cache and persists merged outcomes itself, which keeps the packed
+store's single-writer rule intact and the sweep's cache-hit
 accounting byte-identical to a serial run.  Kill a worker -- even
 ``SIGKILL`` mid-shard -- and nothing is lost: its lease stops
 heartbeating, the coordinator breaks it, and the shard is requeued for
@@ -168,7 +168,7 @@ def run_worker(config: WorkerConfig) -> int:
             shard = broker.load_task(shard_index)
             with _Heartbeat(broker, shard_index, config):
                 try:
-                    outcomes: ShardOutcomes = run_shard(shard, None)
+                    outcomes: ShardOutcomes = run_shard(shard)
                 except SweepPointError as error:
                     point = getattr(error, "point", None)
                     broker.write_failure(

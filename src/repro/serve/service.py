@@ -41,7 +41,6 @@ import asyncio
 import functools
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,20 +58,18 @@ from typing import (
 from ..api.experiment import get_experiment_spec
 from ..api.results import ExperimentResult, SweepResult, _jsonify
 from ..api.sweep import (
-    CACHE_BACKENDS,
-    DEFAULT_CACHE_BACKEND,
     SessionPool,
     SweepPoint,
     SweepPointError,
     _load_cached,
     _merge_key,
+    _open_store,
     _store_cached,
     execute_points,
     run_sweep,
 )
 from ..sim.cycle_model import DEFAULT_ENGINE
 from ..sim.engines import resolve_cycle_model_engine
-from ..store import PackedResultStore, PackedStoreLockedError
 from .cache import HotResultCache
 from .metrics import MetricsRegistry
 
@@ -160,14 +157,10 @@ class ServeConfig:
             (0 disables it).
         hot_cache_ttl_s: TTL of hot-cache entries (``None`` never expires).
         cache_dir: optional on-disk result cache shared with the sweep
-            service (same content-hash keys); probed on hot-cache misses
-            and populated by every computed result.
-        cache_backend: layout of ``cache_dir`` -- ``"files"`` (one JSON per
-            point) or ``"packed"`` (the append-only
-            :class:`repro.store.PackedResultStore`; hot-cache misses read
-            it in one batch per dispatch group and computed results are
-            appended in one batch).  Shared with ``repro sweep
-            --cache-backend``.
+            service (the packed :class:`repro.store.PackedResultStore`,
+            same content-hash keys): hot-cache misses read it in one batch
+            per dispatch group and computed results are appended in one
+            batch.
         allow_heavy: admit training-based experiments (``table2``; runs for
             minutes and would monopolise the dispatch executor).  Off by
             default for a live service.
@@ -179,7 +172,6 @@ class ServeConfig:
     hot_cache_size: int = 256
     hot_cache_ttl_s: Optional[float] = 300.0
     cache_dir: Optional[Union[str, Path]] = None
-    cache_backend: str = DEFAULT_CACHE_BACKEND
     allow_heavy: bool = False
 
     def __post_init__(self) -> None:
@@ -191,11 +183,6 @@ class ServeConfig:
             raise ValueError("default_timeout_s must be positive")
         if self.hot_cache_size < 0:
             raise ValueError("hot_cache_size must be >= 0")
-        if self.cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {self.cache_backend!r}; expected "
-                f"one of {CACHE_BACKENDS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -397,12 +384,7 @@ class ExperimentService:
         # One long-lived store instance: the in-memory index makes every
         # hot-cache-miss probe an in-process set lookup (refreshed only
         # when pack.index changes on disk).
-        self._store: Optional[PackedResultStore] = (
-            PackedResultStore(self.config.cache_dir)
-            if self.config.cache_backend == "packed"
-            and self.config.cache_dir is not None
-            else None
-        )
+        self._store = _open_store(self.config.cache_dir)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["asyncio.Queue[Any]"] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
@@ -572,9 +554,9 @@ class ExperimentService:
         assert self._loop is not None and self._sweep_executor is not None
         allowed = {
             "experiments", "models", "configs", "seeds", "max_workers",
-            "cache_dir", "params_by_experiment", "engine", "executor",
-            "shards", "journal", "resume", "cache_backend",
-            "transport", "sweep_dir", "transport_options",
+            "cache_dir", "params_by_experiment", "engine", "shards",
+            "journal", "resume", "transport", "sweep_dir",
+            "transport_options",
         }
         unknown = set(kwargs) - allowed
         if unknown:
@@ -733,27 +715,29 @@ class ExperimentService:
     ) -> List[Union[ExperimentResult, Exception]]:
         """Execute one compatible group synchronously (on the executor).
 
-        The disk cache (when configured) is probed first -- on the packed
-        backend that is ONE batched
-        :meth:`~repro.store.PackedResultStore.get_many` read for the whole
-        group, the same store a ``repro sweep --cache-backend packed``
-        populates.  The misses run through the shared execution core
+        The disk cache (when configured) is read first -- ONE batched
+        :func:`~repro.api.sweep._load_cached` read for the whole group,
+        from the same store ``repro sweep --cache-dir`` populates.  The
+        misses run through the shared execution core
         (:func:`repro.api.sweep.execute_points`) on the service's
         long-lived session pool, which deduplicates equal requests, runs
         each configuration on its own warm session and merges compatible
         requests into one batched run -- so coalesced and solo dispatch
-        produce identical results.  Computed results are written back
-        best-effort, and a failed point maps to :class:`RunFailedError`.
+        produce identical results.  Computed results are written back in
+        one best-effort :func:`~repro.api.sweep._store_cached` append, and
+        a failed point maps to :class:`RunFailedError`.
         """
         if len({pending.request.config for pending in group}) > 1:
             self.metrics.increment("cross_config_groups")
         outcomes: Dict[str, Union[ExperimentResult, Exception]] = dict(
-            self._probe_disk(group)
+            _load_cached(self._store, {pending.key for pending in group})
         )
+        if outcomes:
+            self.metrics.increment("disk_cache_hits", len(outcomes))
         misses = [p for p in group if p.key not in outcomes]
         computed = execute_points([p.point for p in misses], self._pool)
         self.metrics.set_gauge("sessions", len(self._pool))
-        fresh: List[Tuple[SweepPoint, ExperimentResult]] = []
+        fresh: List[Tuple[str, ExperimentResult]] = []
         for pending, outcome in zip(misses, computed):
             if pending.key in outcomes:
                 continue  # a duplicate request; the core ran it once
@@ -763,74 +747,9 @@ class ExperimentService:
                 outcomes[pending.key] = failure
             else:
                 outcomes[pending.key] = outcome
-                fresh.append((pending.point, outcome))
-        self._persist(fresh)
+                fresh.append((pending.key, outcome))
+        _store_cached(self._store, fresh)
         return [outcomes[pending.key] for pending in group]
-
-    def _probe_disk(
-        self, group: Sequence[_Pending]
-    ) -> Dict[str, ExperimentResult]:
-        """Disk-cache hits of a group's distinct requests, by cache key.
-
-        Reading is best-effort like writing: a pack that cannot be read
-        (an ``OSError``) warns and counts as all misses, as an unreadable
-        per-file entry does in :func:`repro.api.sweep._load_cached`.
-        """
-        cache_dir = self.config.cache_dir
-        if cache_dir is None:
-            return {}
-        points = {pending.key: pending.point for pending in group}
-        if self._store is not None:
-            try:
-                self._store.maybe_refresh()
-                found = self._store.get_many(points)
-            except OSError as error:
-                warnings.warn(
-                    f"skipping result-cache read ({type(error).__name__}: "
-                    f"{error}); recomputing",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return {}
-        else:
-            found = {}
-            for key, point in points.items():
-                cached = _load_cached(point, cache_dir)
-                if cached is not None:
-                    found[key] = cached
-        if found:
-            self.metrics.increment("disk_cache_hits", len(found))
-        return found
-
-    def _persist(
-        self, fresh: Sequence[Tuple[SweepPoint, ExperimentResult]]
-    ) -> None:
-        """Write computed results to the disk cache, best-effort.
-
-        One batched store append on the packed backend, one per-file write
-        each otherwise.  Persisting must never fail a live request: a
-        concurrent writer holding the pack lock or any ``OSError`` (a full
-        disk, a ``cache_dir`` that is not a directory) is reported with a
-        :class:`RuntimeWarning` and the results are served from memory.
-        """
-        cache_dir = self.config.cache_dir
-        if cache_dir is None or not fresh:
-            return
-        try:
-            if self._store is not None:
-                self._store.append_many(
-                    [(point.cache_key(), result) for point, result in fresh]
-                )
-            else:
-                for point, result in fresh:
-                    _store_cached(point, result, cache_dir)
-        except (PackedStoreLockedError, OSError) as error:
-            warnings.warn(
-                f"skipping result-cache write ({type(error).__name__}: "
-                f"{error}); results served from memory only",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 # ---------------------------------------------------------------------------

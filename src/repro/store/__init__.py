@@ -11,7 +11,6 @@ from .packed import (
     PackedResultStore,
     PackedStoreError,
     PackedStoreLockedError,
-    migrate_files_to_packed,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "PackedResultStore",
     "PackedStoreError",
     "PackedStoreLockedError",
-    "migrate_files_to_packed",
 ]

@@ -1,11 +1,12 @@
 """Packed, append-only sweep result store (one artifact, not N tiny files).
 
-The per-file sweep cache (``{cache_key}.json`` under ``cache_dir``) scales
-linearly in *filesystem operations*: every warm point of a resumed or
-re-run sweep costs one ``stat`` plus one ``open``/``read``/``close`` plus a
-JSON parse, and a million-point grid becomes a million tiny files.  This
-module packs the same content-hash-keyed results into **one** append-only
-data file plus a small index:
+The only on-disk result cache of the sweep service and the serve daemon.
+A per-file cache (one ``{cache_key}.json`` per point) scales linearly in
+*filesystem operations*: every warm point costs one ``stat`` plus one
+``open``/``read``/``close`` plus a JSON parse, and a million-point grid
+becomes a million tiny files.  This module packs the same
+content-hash-keyed results into **one** append-only data file plus a small
+index:
 
 ``pack.data``
     a magic header followed by length-prefixed records.  Each record is an
@@ -17,10 +18,11 @@ data file plus a small index:
 ``pack.index``
     a JSON ``cache_key -> (offset, length)`` map plus the data size it was
     computed at, replaced atomically (unique temp file + fsync +
-    ``os.replace``) after every append batch.  A missing, corrupt or stale
+    ``os.replace``) after every append batch -- or once at the end of a
+    :meth:`PackedResultStore.deferred_index` block.  A missing, corrupt or stale
     index is rebuilt by scanning the data file
     (:meth:`PackedResultStore.rebuild_index`), tolerating a torn tail from
-    a killed writer.
+    a killed writer (the next append truncates that tail away).
 ``pack.lock``
     a PID-sentinel file held only while a writer appends
     (:class:`PackedStoreLockedError` on contention, stale locks from dead
@@ -37,6 +39,11 @@ N keys exist" from the in-memory index without touching the data file, and
 :meth:`PackedResultStore.get_many` coalesces adjacent records into large
 sequential reads -- a fully warm grid restore is one index load plus one
 pass over the data file.
+
+Directories written by the retired per-file cache migrate on open: a store
+whose directory holds no ``pack.data`` but does hold legacy
+``{cache_key}.json`` entries ingests them once
+(:meth:`PackedResultStore.ingest_files`) before its first read or write.
 """
 
 from __future__ import annotations
@@ -48,15 +55,18 @@ import struct
 import tempfile
 import warnings
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -68,7 +78,6 @@ __all__ = [
     "PackedStoreError",
     "PackedStoreLockedError",
     "PackedResultStore",
-    "migrate_files_to_packed",
 ]
 
 #: Data file name inside the store directory.
@@ -128,8 +137,8 @@ class PackedResultStore:
     writers serialise through :meth:`append_many`.
 
     Args:
-        directory: the store directory (shared with -- or converted from --
-            a per-file sweep cache; see :func:`migrate_files_to_packed`).
+        directory: the store directory (a legacy per-file cache directory
+            is migrated on open; see the module docstring).
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -139,6 +148,13 @@ class PackedResultStore:
         self._entries: Optional[Dict[str, Tuple[int, int]]] = None
         self._indexed_bytes = 0
         self._index_sig: Optional[Tuple[int, int]] = None
+        # Keys whose indexed record failed to decode; the next append
+        # rewrites them instead of skipping them as already present.
+        self._damaged: Set[str] = set()
+        self._lock_depth = 0
+        self._migrating = False
+        self._defer_depth = 0
+        self._index_dirty = False
         # The writer lock is the shared PID-sentinel implementation; the
         # message templates reproduce this store's historical wording
         # byte-for-byte (pinned by the store tests).
@@ -181,9 +197,26 @@ class PackedResultStore:
 
     # -- index ----------------------------------------------------------
     def _index(self) -> Dict[str, Tuple[int, int]]:
-        """The in-memory index, loading (or rebuilding) it on first use."""
+        """The in-memory index, loading (or rebuilding) it on first use.
+
+        A directory without ``pack.data`` is migrated on open: its legacy
+        per-file entries are ingested before the index is returned.
+
+        Raises:
+            PackedStoreError: the pack is unusable (bad magic, unsupported
+                codec), or another writer holds the lock a migration needs.
+        """
         if self._entries is None:
             self._load_index()
+            if not self._migrating and not self.data_path.exists():
+                self._migrating = True
+                try:
+                    self.ingest_files()
+                except BaseException:
+                    self._entries = None  # retry the migration next time
+                    raise
+                finally:
+                    self._migrating = False
         assert self._entries is not None
         return self._entries
 
@@ -191,6 +224,20 @@ class PackedResultStore:
         """Drop the in-memory index so the next read reloads it from disk
         (picks up records appended by another process)."""
         self._entries = None
+
+    def _in_sync(self) -> bool:
+        """Whether the pack on disk is exactly what this instance last
+        loaded or wrote (no other writer appended or re-indexed since)."""
+        if self._entries is None:
+            return False
+        try:
+            data_bytes = self.data_path.stat().st_size
+        except FileNotFoundError:
+            data_bytes = 0
+        return (
+            data_bytes == self._indexed_bytes
+            and self._stat_index() == self._index_sig
+        )
 
     def _stat_index(self) -> Optional[Tuple[int, int]]:
         """``(mtime_ns, size)`` of ``pack.index`` (``None`` when absent)."""
@@ -265,7 +312,10 @@ class PackedResultStore:
         """Rebuild the in-memory index by walking every data-file record.
 
         Tolerates a torn tail: the scan stops (with a warning) at the first
-        truncated or corrupt record, keeping everything before it.
+        truncated record, keeping everything before it.  A complete record
+        whose payload is damaged is skipped with a warning, so one flipped
+        byte never hides -- or, once a writer truncates the torn tail,
+        destroys -- the intact records after it.
         """
         entries: Dict[str, Tuple[int, int]] = {}
         good = 0
@@ -298,17 +348,23 @@ class PackedResultStore:
                 if len(payload) < length:
                     self._warn_tail(offset, "truncated record payload")
                     break
-                if zlib.crc32(payload) != crc:
-                    self._warn_tail(offset, "checksum mismatch")
-                    break
-                try:
-                    key, _ = pickle.loads(payload)
-                except Exception as error:
-                    self._warn_tail(
-                        offset, f"undecodable payload ({type(error).__name__})"
-                    )
-                    break
                 good = offset + _FRAME.size + length
+                reason = None
+                if zlib.crc32(payload) != crc:
+                    reason = "checksum mismatch"
+                else:
+                    try:
+                        key, _ = pickle.loads(payload)
+                    except Exception as error:
+                        reason = f"undecodable payload ({type(error).__name__})"
+                if reason is not None:
+                    warnings.warn(
+                        f"skipping damaged record at byte {offset} of "
+                        f"{self.data_path} ({reason})",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    continue
                 entries[str(key)] = (offset, _FRAME.size + length)
         self._entries, self._indexed_bytes = entries, good
 
@@ -348,7 +404,7 @@ class PackedResultStore:
         )
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, separators=(",", ":"))
+                stream.write(json.dumps(payload, separators=(",", ":")))
                 stream.flush()
                 os.fsync(stream.fileno())
             os.replace(temporary, self.index_path)
@@ -389,8 +445,8 @@ class PackedResultStore:
         are coalesced into single sequential reads, so restoring a fully
         warm grid costs one pass over the data file instead of N opens.
         Damaged records are reported with a :class:`RuntimeWarning` and
-        omitted (the caller recomputes them -- same contract as an
-        unreadable per-file cache entry).
+        omitted; the caller recomputes them, and the next
+        :meth:`append_many` of such a key rewrites its record.
         """
         index = self._index()
         wanted = [
@@ -448,6 +504,7 @@ class PackedResultStore:
                         reason = f"key mismatch (record holds {stored_key!r})"
                     else:
                         return result
+        self._damaged.add(key)
         warnings.warn(
             f"ignoring damaged pack record for {key} at byte {offset} of "
             f"{self.data_path} ({reason}); treating as a cache miss",
@@ -462,20 +519,27 @@ class PackedResultStore:
 
         Delegates to the shared :class:`repro.dist.locks.PidFileLock`
         (stale locks from dead writers are reclaimed with a
-        :class:`RuntimeWarning`).
+        :class:`RuntimeWarning`).  Re-entrant within this instance, so a
+        migration triggered by the index load inside :meth:`append_many`
+        appends under the lock its caller already holds.
 
         Raises:
             PackedStoreLockedError: a live process holds the lock.
         """
-        self._lock.acquire(stacklevel=5)
+        if not self._lock_depth:
+            self._lock.acquire(stacklevel=5)
+        self._lock_depth += 1
 
     def _lock_holder(self) -> Optional[int]:
         """PID recorded in the lock file (``None`` when unreadable)."""
         return self._lock.holder()
 
     def _release_lock(self) -> None:
-        """Drop the writer lock (idempotent)."""
-        self._lock.release()
+        """Drop one level of the writer lock (idempotent once released)."""
+        if self._lock_depth:
+            self._lock_depth -= 1
+            if not self._lock_depth:
+                self._lock.release()
 
     def append_many(
         self, entries: Sequence[Tuple[str, Any]]
@@ -484,10 +548,12 @@ class PackedResultStore:
 
         Takes the writer lock, re-syncs the index from disk (so records
         appended by a previous lock holder are seen and duplicate keys are
-        skipped -- appends are idempotent per key), appends every new
-        record, fsyncs the data file, then atomically replaces the index.
-        A crash between the two leaves a data tail the next index load
-        rescans -- never a corrupt store.
+        skipped -- appends are idempotent per key, except for keys whose
+        record was found damaged, which are rewritten), truncates a torn
+        tail a killed writer left behind, appends every new record, fsyncs
+        the data file, then atomically replaces the index.  A crash between
+        the two leaves a data tail the next index load rescans -- never a
+        corrupt store.
 
         Returns:
             ``{key: (offset, length)}`` for **every** requested key,
@@ -500,21 +566,27 @@ class PackedResultStore:
             return {}
         self._acquire_lock()
         try:
-            self.refresh()
+            if not self._in_sync():
+                self.refresh()
             index = self._index()
-            fresh = [
-                (key, result)
-                for key, result in entries
-                if key not in index
-            ]
+            fresh: Dict[str, Any] = {}
+            for key, result in entries:
+                if key not in fresh and (
+                    key not in index or key in self._damaged
+                ):
+                    fresh[key] = result
             if fresh:
                 with open(self.data_path, "ab") as handle:
+                    if handle.tell() > self._indexed_bytes:
+                        # A killed writer's torn tail: later records must
+                        # follow the last intact one, or an index rebuild
+                        # would stop at the tear and lose them.
+                        handle.truncate(self._indexed_bytes)
+                        handle.seek(self._indexed_bytes)
                     if handle.tell() == 0:
                         handle.write(_MAGIC)
                     offset = handle.tell()
-                    for key, result in fresh:
-                        if key in index:
-                            continue  # duplicate key inside one batch
+                    for key, result in fresh.items():
                         payload = pickle.dumps(
                             (key, result), protocol=pickle.HIGHEST_PROTOCOL
                         )
@@ -528,20 +600,60 @@ class PackedResultStore:
                     handle.flush()
                     os.fsync(handle.fileno())
                     self._indexed_bytes = handle.tell()
-                self._write_index()
+                self._damaged.difference_update(fresh)
+                if self._defer_depth:
+                    self._index_dirty = True
+                else:
+                    self._write_index()
             return {key: index[key] for key, _ in entries}
         finally:
             self._release_lock()
 
+    @contextmanager
+    def deferred_index(self) -> Iterator["PackedResultStore"]:
+        """Rewrite ``pack.index`` once, on exit, instead of per append.
+
+        For a writer making many small appends -- a sweep persisting shard
+        by shard -- the index rewrite would dominate every append (the
+        whole index is serialised, and replacing a file is a slow
+        filesystem operation on some mounts).  Each append still fsyncs its
+        records, so a crash inside the block costs the next open a rescan
+        of the data file, never a record.  Other processes see the block's
+        records once the index is written.  Writing it is best-effort: a
+        failure warns and leaves the rescan to the next open.
+        """
+        self._defer_depth += 1
+        try:
+            yield self
+        finally:
+            self._defer_depth -= 1
+            if not self._defer_depth and self._index_dirty:
+                self._index_dirty = False
+                try:
+                    self._acquire_lock()
+                    try:
+                        if not self._in_sync():
+                            self.refresh()
+                        self._write_index()
+                    finally:
+                        self._release_lock()
+                except (OSError, PackedStoreError) as error:
+                    warnings.warn(
+                        f"pack index {self.index_path} not rewritten "
+                        f"({type(error).__name__}: {error}); the next open "
+                        "rescans the data file",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+
     # -- migration ------------------------------------------------------
     def ingest_files(self, directory: Optional[Union[str, Path]] = None) -> int:
-        """Migrate a per-file sweep cache's ``{cache_key}.json`` entries.
+        """Migrate a legacy per-file cache's ``{cache_key}.json`` entries.
 
         Every readable per-file entry of ``directory`` (default: the
-        store's own directory, the usual shared-cache layout) whose key is
+        store's own directory -- what migrate-on-open ingests) whose key is
         not already packed is appended in one batch.  The source files are
-        left in place -- the per-file backend keeps working during and
-        after a migration.  Unreadable entries are skipped with a
+        left in place.  Unreadable entries are skipped with a
         :class:`RuntimeWarning`.
 
         Returns:
@@ -569,17 +681,3 @@ class PackedResultStore:
             self.append_many(batch)
         return len(batch)
 
-
-def migrate_files_to_packed(directory: Union[str, Path]) -> int:
-    """Convert a per-file sweep cache directory into a packed store.
-
-    Convenience wrapper: opens (or creates) the pack inside ``directory``
-    and ingests every per-file ``{cache_key}.json`` entry alongside it, so
-    an existing cache can switch to ``cache_backend="packed"`` without
-    recomputing anything.  Idempotent -- re-running migrates only entries
-    the pack does not hold yet.
-
-    Returns:
-        The number of newly packed entries.
-    """
-    return PackedResultStore(directory).ingest_files(directory)

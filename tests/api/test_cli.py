@@ -210,18 +210,18 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "--- table4" in out
         assert "1 result(s)" in out
-        assert "executor=thread" in out  # service stats line
+        assert "transport=thread" in out  # service stats line
 
     def test_sweep_executor_backends_agree(self, capsys, tmp_path):
         results = {}
-        for executor in ("serial", "thread", "process"):
-            out_path = tmp_path / f"{executor}.json"
+        for transport in ("serial", "thread", "process"):
+            out_path = tmp_path / f"{transport}.json"
             argv = [
                 "sweep", "--experiments", "fig7", "--models", "alexnet",
-                "--executor", executor, "--json", str(out_path), "--quiet",
+                "--transport", transport, "--json", str(out_path), "--quiet",
             ]
             assert main(argv) == 0
-            results[executor] = SweepResult.load(out_path)
+            results[transport] = SweepResult.load(out_path)
         assert results["serial"] == results["thread"] == results["process"]
 
     def test_sweep_journal_and_resume(self, capsys, tmp_path):
@@ -229,7 +229,7 @@ class TestSweep:
         out_path = tmp_path / "sweep.json"
         base = [
             "sweep", "--experiments", "fig7", "table4", "--models", "alexnet",
-            "--executor", "serial", "--shards", "2",
+            "--transport", "serial", "--shards", "2",
             "--journal", str(journal), "--quiet",
         ]
         assert main(base + ["--json", str(out_path)]) == 0

@@ -5,6 +5,7 @@ import pytest
 import repro.api.sweep as sweep_module
 from repro.api import ExperimentResult, SweepResult, build_grid, run_sweep
 from repro.api.sweep import SweepPoint, run_point
+from repro.store import PackedResultStore
 
 
 class TestGrid:
@@ -75,7 +76,7 @@ class TestSweepExecution:
         cold = run_sweep(**kwargs)
         assert len(cold) == 2
         assert cold.cache_hits == 0 and cold.cache_misses == 2
-        assert len(list(cache_dir.glob("*.json"))) == 2
+        assert len(PackedResultStore(cache_dir)) == 2
 
         # Warm re-run: every point must come from the cache without
         # executing any simulation -- instrument by making Experiment
@@ -91,11 +92,15 @@ class TestSweepExecution:
     def test_corrupt_cache_entry_treated_as_miss(self, tmp_path):
         cache_dir = tmp_path / "cache"
         run_sweep(experiments=("table4",), cache_dir=cache_dir)
-        entry = next(cache_dir.glob("*.json"))
-        entry.write_text("garbage{{{", encoding="utf-8")
-        recovered = run_sweep(experiments=("table4",), cache_dir=cache_dir)
+        store = PackedResultStore(cache_dir)
+        ((offset, _),) = store.locate(store._index()).values()
+        data = bytearray(store.data_path.read_bytes())
+        data[offset + 12] ^= 0xFF  # damage the record's payload
+        store.data_path.write_bytes(bytes(data))
+        with pytest.warns(RuntimeWarning, match="damaged pack record"):
+            recovered = run_sweep(experiments=("table4",), cache_dir=cache_dir)
         assert recovered.cache_misses == 1 and recovered.cache_hits == 0
-        # The corrupt entry was overwritten with a valid result.
+        # The corrupt entry was rewritten with a valid result.
         warm = run_sweep(experiments=("table4",), cache_dir=cache_dir)
         assert warm.cache_hits == 1 and warm.cache_misses == 0
 

@@ -1,4 +1,4 @@
-"""Tests for the sharded sweep service: planning, executors, journal.
+"""Tests for the sharded sweep service: planning, transports, journal.
 
 The sweep cache / grid basics are covered by ``test_sweep.py``; this module
 pins the service layer added on top -- deterministic shard planning keyed by
@@ -28,9 +28,25 @@ from repro.api import (
     run_shard,
     run_sweep,
 )
-from repro.api.sweep import SessionPool, SweepPoint, execute_points, run_point
+from repro.api.sweep import (
+    SessionPool,
+    SweepPoint,
+    cache_keys_for_grid,
+    execute_points,
+    run_point,
+)
+from repro.store import PackedResultStore
 
 GRID_KWARGS = dict(experiments=("fig7", "table4"), models=("alexnet", "mobilenetv2"))
+
+
+def _flip_record_byte(cache_dir):
+    """Damage the payload of the first record of a one-record pack."""
+    store = PackedResultStore(cache_dir)
+    ((offset, _),) = store.locate(store._index()).values()
+    data = bytearray(store.data_path.read_bytes())
+    data[offset + 12] ^= 0xFF  # CRC now mismatches
+    store.data_path.write_bytes(bytes(data))
 
 
 class TestShardPlanner:
@@ -99,10 +115,10 @@ class TestShardPlanner:
 
 class TestExecutorEquality:
     def test_all_backends_produce_identical_results(self):
-        serial = run_sweep(executor="serial", **GRID_KWARGS)
-        thread = run_sweep(executor="thread", max_workers=2, **GRID_KWARGS)
+        serial = run_sweep(transport="serial", **GRID_KWARGS)
+        thread = run_sweep(transport="thread", max_workers=2, **GRID_KWARGS)
         process = run_sweep(
-            executor="process", max_workers=2, shards=3, **GRID_KWARGS
+            transport="process", max_workers=2, shards=3, **GRID_KWARGS
         )
         assert serial.results == thread.results == process.results
         assert (
@@ -139,17 +155,17 @@ class TestExecutorEquality:
         # One shard holding several single-model fig7 points merges them
         # into one batched run; the split results must be identical to
         # executing every point individually.
-        sweep = run_sweep(executor="serial", shards=1, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", shards=1, **GRID_KWARGS)
         reference = tuple(run_point(p)[0] for p in build_grid(**GRID_KWARGS))
         assert sweep.results == reference
 
     def test_process_backend_uses_and_fills_cache(self, tmp_path):
         cold = run_sweep(
-            executor="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
+            transport="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
         )
         assert cold.cache_hits == 0 and cold.cache_misses == len(cold.results)
         warm = run_sweep(
-            executor="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
+            transport="process", max_workers=2, cache_dir=tmp_path, **GRID_KWARGS
         )
         assert warm.cache_hits == len(warm.results) and warm.cache_misses == 0
         assert warm.results == cold.results
@@ -159,17 +175,13 @@ class TestExecutorEquality:
         # this process, so process workers must receive it with the shard.
         session = Experiment(config=build_dbpim_config(num_macros=2))
         sweep = session.run_sweep(
-            experiments=("table4",), executor="process", max_workers=2
+            experiments=("table4",), transport="process", max_workers=2
         )
         assert len(sweep) == 1
         assert sweep.results[0].config == session.config_name
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_sweep(experiments=("table4",), executor="mpi")
-
     def test_stats_attached_but_not_serialised(self):
-        sweep = run_sweep(executor="serial", experiments=("table4",))
+        sweep = run_sweep(transport="serial", experiments=("table4",))
         assert sweep.stats is not None
         assert sweep.stats.executor == "serial"
         assert sweep.stats.cold_points == 1
@@ -240,7 +252,7 @@ class TestFailureAttribution:
 
         monkeypatch.setattr(sweep_module, "Experiment", Exploding)
         with pytest.raises(SweepPointError) as info:
-            run_sweep(executor="thread", max_workers=2, **GRID_KWARGS)
+            run_sweep(transport="thread", max_workers=2, **GRID_KWARGS)
         message = str(info.value)
         assert "mobilenetv2" in message and "fig7" in message
         assert "injected fault" in message
@@ -259,17 +271,18 @@ class TestFailureAttribution:
                 return super().run(experiment, **params)
 
         monkeypatch.setattr(sweep_module, "Experiment", Exploding)
-        plan = ShardPlanner(shards=1).plan(build_grid(**GRID_KWARGS))
-        (shard,) = plan.shards
+        grid = build_grid(**GRID_KWARGS)
         with pytest.raises(SweepPointError, match="mobilenetv2"):
-            run_shard(shard, cache_dir=tmp_path)
-        cached = {path.stem for path in tmp_path.glob("*.json")}
+            run_sweep(
+                transport="serial", shards=1, cache_dir=tmp_path, **GRID_KWARGS
+            )
+        cached = PackedResultStore(tmp_path).probe(cache_keys_for_grid(grid))
         healthy = {
             point.cache_key()
-            for point in shard.points
+            for point in grid
             if point.params.get("models") != ["mobilenetv2"]
         }
-        assert len(healthy) == len(shard) - 1
+        assert len(healthy) == len(grid) - 1
         assert cached == healthy
 
     def test_error_is_picklable_with_point(self):
@@ -280,11 +293,20 @@ class TestFailureAttribution:
         clone = pickle.loads(pickle.dumps(error))
         assert str(clone) == "boom" and clone.point == point
 
+    def test_error_carries_completed_outcomes_across_processes(self):
+        import pickle
+
+        point = SweepPoint(experiment="table4")
+        result, _ = run_point(point)
+        error = SweepPointError("boom", point, [(3, result, False)])
+        clone = pickle.loads(pickle.dumps(error))
+        assert clone.completed == ((3, result, False),)
+
 
 class TestJournal:
     def test_fresh_run_journals_every_point(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         lines = journal.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "header"
         assert len(lines) == len(sweep.results) + 1
@@ -297,7 +319,7 @@ class TestJournal:
         self, tmp_path, monkeypatch
     ):
         journal = tmp_path / "sweep.jsonl"
-        full = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        full = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         # Simulate a kill after the first journaled shard: keep the header
         # plus two finished points.
         lines = journal.read_text().splitlines()
@@ -313,7 +335,7 @@ class TestJournal:
 
         monkeypatch.setattr(sweep_module, "Experiment", Counting)
         resumed = run_sweep(
-            executor="serial", journal=journal, resume=True, **GRID_KWARGS
+            transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
         assert resumed.to_json() == full.to_json()  # byte-identical payload
         assert resumed.stats.journaled_points == 2
@@ -322,7 +344,7 @@ class TestJournal:
         # nothing at all.
         executed.clear()
         again = run_sweep(
-            executor="serial", journal=journal, resume=True, **GRID_KWARGS
+            transport="serial", journal=journal, resume=True, **GRID_KWARGS
         )
         assert again.to_json() == full.to_json() and executed == []
 
@@ -334,12 +356,12 @@ class TestJournal:
         cache = tmp_path / "cache"
         journal = tmp_path / "sweep.jsonl"
         full = run_sweep(
-            executor="serial", cache_dir=cache, journal=journal, **GRID_KWARGS
+            transport="serial", cache_dir=cache, journal=journal, **GRID_KWARGS
         )
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:2]) + "\n")  # header + 1 point
         resumed = run_sweep(
-            executor="serial",
+            transport="serial",
             cache_dir=cache,
             journal=journal,
             resume=True,
@@ -355,14 +377,14 @@ class TestJournal:
 
     def test_torn_tail_line_is_skipped_with_warning(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", journal=journal, experiments=("table4",))
+        run_sweep(transport="serial", journal=journal, experiments=("table4",))
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "point", "cache_key": "tr')  # torn write
         with pytest.warns(RuntimeWarning, match="torn"):
             entries = SweepJournal(journal).load()
         assert len(entries) == 1
         resumed = run_sweep(
-            executor="serial",
+            transport="serial",
             journal=journal,
             resume=True,
             experiments=("table4",),
@@ -371,8 +393,8 @@ class TestJournal:
 
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
-        run_sweep(executor="serial", journal=journal, experiments=("table4",))
+        run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
+        run_sweep(transport="serial", journal=journal, experiments=("table4",))
         assert len(SweepJournal(journal).load()) == 1  # truncated, not mixed
 
     def test_resume_requires_journal(self):
@@ -382,23 +404,23 @@ class TestJournal:
     def test_journal_records_cache_hits(self, tmp_path):
         cache = tmp_path / "cache"
         journal = tmp_path / "sweep.jsonl"
-        run_sweep(executor="serial", cache_dir=cache, experiments=("table4",))
+        run_sweep(transport="serial", cache_dir=cache, experiments=("table4",))
         run_sweep(
-            executor="serial",
+            transport="serial",
             cache_dir=cache,
             journal=journal,
             experiments=("table4",),
         )
-        ((_, hit),) = SweepJournal(journal).load().values()
+        store = PackedResultStore(cache)  # the journal holds slim refs
+        ((_, hit),) = SweepJournal(journal).load(store=store).values()
         assert hit is True
 
 
 class TestCacheRobustness:
     def test_corrupt_entry_warns_and_recovers(self, tmp_path):
         run_sweep(experiments=("table4",), cache_dir=tmp_path)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text("garbage{{{", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="unreadable sweep-cache"):
+        _flip_record_byte(tmp_path)
+        with pytest.warns(RuntimeWarning, match="damaged pack record"):
             recovered = run_sweep(experiments=("table4",), cache_dir=tmp_path)
         assert recovered.cache_misses == 1
         warm = run_sweep(experiments=("table4",), cache_dir=tmp_path)
@@ -442,11 +464,11 @@ class TestSessionRunSweep:
         expected = Experiment(config=shipped).run("table4")
         assert result.rows == expected.rows
 
-    def test_run_shard_entrypoint_sorts_by_grid_index(self, tmp_path):
+    def test_run_shard_entrypoint_sorts_by_grid_index(self):
         grid = build_grid(**GRID_KWARGS)
         plan = ShardPlanner(shards=1).plan(grid)
         (shard,) = [s for s in plan.shards if len(s) > 1]
-        outcomes = run_shard(shard, cache_dir=tmp_path)
+        outcomes = run_shard(shard)
         assert [index for index, _, _ in outcomes] == sorted(shard.indices)
         assert all(hit is False for _, _, hit in outcomes)
 
@@ -492,7 +514,7 @@ class TestJournalLock:
         holder.acquire()
         try:
             with pytest.raises(SweepJournalLockedError):
-                run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+                run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
             # Fail-fast means no journal bytes were written at all.
             assert not journal.exists()
         finally:
@@ -500,12 +522,12 @@ class TestJournalLock:
 
     def test_run_sweep_releases_lock_even_on_failure(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        sweep = run_sweep(executor="serial", journal=journal, **GRID_KWARGS)
+        sweep = run_sweep(transport="serial", journal=journal, **GRID_KWARGS)
         assert sweep.results
         assert not SweepJournal(journal).lock_path.exists()
         with pytest.raises(SweepPointError):
             run_sweep(
-                executor="serial",
+                transport="serial",
                 journal=tmp_path / "bad.jsonl",
                 experiments=("fig7",),
                 models=("alexnet",),

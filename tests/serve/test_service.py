@@ -349,10 +349,9 @@ class TestServiceDispatch:
         expected = direct_result(RunRequest("fig7", models=("alexnet",)))
         assert good.result.to_json() == expected.to_json()
 
-    @pytest.mark.parametrize("backend", ["files", "packed"])
     @pytest.mark.filterwarnings("ignore:.*unreadable:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:skipping result-cache read")
-    def test_cache_write_error_keeps_batcher_running(self, tmp_path, backend):
+    def test_cache_write_error_keeps_batcher_running(self, tmp_path):
         """A cache_dir that cannot be written degrades to memory-only
         serving with a warning; it must not end the batcher task."""
         not_a_directory = tmp_path / "cache"
@@ -365,7 +364,6 @@ class TestServiceDispatch:
                     batch_window_s=0.0,
                     hot_cache_size=0,
                     cache_dir=not_a_directory,
-                    cache_backend=backend,
                 )
             )
             await service.start()
@@ -454,7 +452,6 @@ class TestServiceCaching:
             batch_window_s=0.0,
             hot_cache_size=0,
             cache_dir=tmp_path,
-            cache_backend="packed",
         )
         request = RunRequest("fig7", models=("alexnet",))
         with ServiceRuntime(config) as runtime:
@@ -476,14 +473,12 @@ class TestServiceCaching:
             experiments=("fig7",),
             models=("alexnet",),
             cache_dir=tmp_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         config = ServeConfig(
             batch_window_s=0.0,
             hot_cache_size=0,
             cache_dir=tmp_path,
-            cache_backend="packed",
         )
         with ServiceRuntime(config) as runtime:
             outcome = runtime.run(RunRequest("fig7", models=("alexnet",)))
@@ -491,9 +486,37 @@ class TestServiceCaching:
         assert hits == 1
         assert outcome.result.to_json() == swept.results[0].to_json()
 
-    def test_unknown_cache_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            ServeConfig(cache_backend="sqlite")
+    @pytest.mark.parametrize(
+        "damage", ["bad magic", "unsupported codec"], ids=["magic", "codec"]
+    )
+    def test_unusable_pack_serves_misses_from_memory(self, tmp_path, damage):
+        """A pack the store refuses (bad magic, unknown codec) reads as
+        misses and skips the write; every request is still served."""
+        import json
+
+        from repro.store import DATA_FILENAME, INDEX_FILENAME
+
+        request = RunRequest("fig7", models=("alexnet",))
+        if damage == "bad magic":
+            (tmp_path / DATA_FILENAME).write_bytes(b"not a pack at all")
+        else:
+            with ServiceRuntime(
+                ServeConfig(batch_window_s=0.0, cache_dir=tmp_path)
+            ) as runtime:
+                runtime.run(RunRequest("table4"))
+            index = json.loads((tmp_path / INDEX_FILENAME).read_text())
+            index["codec"] = "zstd"
+            (tmp_path / INDEX_FILENAME).write_text(json.dumps(index))
+        config = ServeConfig(
+            batch_window_s=0.0, hot_cache_size=0, cache_dir=tmp_path
+        )
+        with pytest.warns(RuntimeWarning, match="skipping result-cache"):
+            with ServiceRuntime(config) as runtime:
+                outcomes = [runtime.run(request) for _ in range(2)]
+                failed = runtime.metrics()["counters"].get("failed_total", 0)
+        assert failed == 0
+        expected = direct_result(request).to_json()
+        assert [o.result.to_json() for o in outcomes] == [expected] * 2
 
     def test_metrics_snapshot_shape(self):
         with ServiceRuntime(ServeConfig(batch_window_s=0.0)) as runtime:

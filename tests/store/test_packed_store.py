@@ -1,11 +1,12 @@
 """Tests for the packed sweep result store (``repro.store``).
 
-Pins the PR-9 contracts: corruption tolerance (a torn data tail or a
+Pins the store's contracts: corruption tolerance (a torn data tail or a
 damaged/missing/stale index never loses intact records -- the index is
-rebuilt from the data file), single-writer locking (live-holder rejection,
-stale-lock reclaim), per-file-to-packed migration, byte-identical
-``SweepResult`` s across the ``files`` and ``packed`` backends, and slim
-journal resume restoring results byte-for-byte through the store.
+rebuilt from the data file, and the next append truncates the torn tail),
+single-writer locking (live-holder rejection, stale-lock reclaim),
+migrate-on-open of legacy per-file caches, byte-identical ``SweepResult`` s
+from cold and warm caches, and slim journal resume restoring results
+byte-for-byte through the store.
 """
 
 import json
@@ -24,7 +25,6 @@ from repro.store import (
     PackedResultStore,
     PackedStoreError,
     PackedStoreLockedError,
-    migrate_files_to_packed,
 )
 
 GRID_KWARGS = dict(experiments=("fig7", "table4"), models=("alexnet", "mobilenetv2"))
@@ -46,6 +46,13 @@ def _populate(tmp_path, results_by_key):
     store = PackedResultStore(tmp_path)
     store.append_many(list(results_by_key.items()))
     return store
+
+
+def _write_legacy_files(directory, results_by_key):
+    """A cache directory as the retired per-file backend wrote it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for key, result in results_by_key.items():
+        result.save(directory / f"{key}.json")
 
 
 class TestRoundTrip:
@@ -176,6 +183,57 @@ class TestCorruptionRecovery:
             k: results_by_key[k] for k in keys if k != victim
         }
 
+    def test_damaged_record_is_rewritten_by_next_append(
+        self, tmp_path, results_by_key
+    ):
+        store = _populate(tmp_path, results_by_key)
+        victim = next(iter(results_by_key))
+        offset, _ = store.locate([victim])[victim]
+        data = bytearray(store.data_path.read_bytes())
+        data[offset + 12] ^= 0xFF
+        store.data_path.write_bytes(bytes(data))
+        reader = PackedResultStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert reader.get_many([victim]) == {}
+        reader.append_many([(victim, results_by_key[victim])])
+        fresh = PackedResultStore(tmp_path)
+        assert fresh.get_many(results_by_key) == results_by_key
+
+    def test_scan_skips_damaged_record_and_keeps_later_ones(
+        self, tmp_path, results_by_key
+    ):
+        store = _populate(tmp_path, results_by_key)
+        keys = list(results_by_key)
+        locations = store.locate(keys)
+        victim = min(keys, key=lambda k: locations[k][0])  # the first record
+        data = bytearray(store.data_path.read_bytes())
+        data[locations[victim][0] + 12] ^= 0xFF
+        store.data_path.write_bytes(bytes(data))
+        store.index_path.unlink()
+        fresh = PackedResultStore(tmp_path)
+        with pytest.warns(RuntimeWarning, match="skipping damaged record"):
+            present = fresh.probe(keys)
+        assert present == frozenset(k for k in keys if k != victim)
+
+    def test_append_after_torn_tail_survives_index_rebuild(
+        self, tmp_path, results_by_key
+    ):
+        (a, b, c), values = list(results_by_key)[:3], results_by_key
+        store = PackedResultStore(tmp_path)
+        store.append_many([(a, values[a])])
+        with open(store.data_path, "ab") as handle:
+            handle.write(b"\x01\x02\x03")  # a killed writer's torn tail
+        with pytest.warns(RuntimeWarning, match="rebuilding|damaged"):
+            PackedResultStore(tmp_path).append_many([(b, values[b])])
+        store.index_path.unlink()
+        rebuilt = PackedResultStore(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no tear left to warn about
+            assert rebuilt.probe([a, b, c]) == frozenset([a, b])
+        rebuilt.append_many([(c, values[c])])
+        fresh = PackedResultStore(tmp_path)
+        assert fresh.get_many([a, b, c]) == {k: values[k] for k in (a, b, c)}
+
 
 class TestWriterLock:
     def test_live_holder_rejects_second_writer(
@@ -200,66 +258,97 @@ class TestWriterLock:
         assert store.probe(results_by_key) == frozenset(results_by_key)
 
 
-class TestMigration:
-    def test_migrate_files_to_packed(self, tmp_path, results_by_key):
-        for key, result in results_by_key.items():
-            result.save(tmp_path / f"{key}.json")
-        assert migrate_files_to_packed(tmp_path) == len(results_by_key)
-        assert migrate_files_to_packed(tmp_path) == 0  # idempotent
+class TestDeferredIndex:
+    def test_index_is_written_once_on_exit(self, tmp_path, results_by_key):
+        store = PackedResultStore(tmp_path)
+        with store.deferred_index():
+            for item in results_by_key.items():
+                store.append_many([item])
+            assert not store.index_path.exists()
+            assert store.get_many(results_by_key) == results_by_key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a current index: no rescan
+            reader = PackedResultStore(tmp_path)
+            assert reader.get_many(results_by_key) == results_by_key
+
+    def test_interleaved_writer_keeps_every_record(
+        self, tmp_path, results_by_key
+    ):
+        keys = list(results_by_key)
+        store = PackedResultStore(tmp_path)
+        store.append_many([(keys[0], results_by_key[keys[0]])])
+        with pytest.warns(RuntimeWarning, match="rebuilding"):
+            with store.deferred_index():
+                store.append_many([(keys[1], results_by_key[keys[1]])])
+                # Another process appends while the index is deferred: it
+                # rescans, so it keeps this block's unindexed record.
+                other = PackedResultStore(tmp_path)
+                other.append_many([(keys[2], results_by_key[keys[2]])])
+                store.append_many([(k, results_by_key[k]) for k in keys[3:]])
+        fresh = PackedResultStore(tmp_path)
+        assert fresh.get_many(keys) == results_by_key
+
+
+class TestMigrateOnOpen:
+    def test_legacy_files_are_ingested_once_on_open(
+        self, tmp_path, results_by_key
+    ):
+        _write_legacy_files(tmp_path, results_by_key)
         store = PackedResultStore(tmp_path)
         assert store.get_many(results_by_key) == results_by_key
-        # source files stay: the per-file backend keeps working.
-        assert len(list(tmp_path.glob("*.json"))) >= len(results_by_key)
+        size = store.data_path.stat().st_size
+        # pack.data now exists: a later open reads it and ingests nothing.
+        again = PackedResultStore(tmp_path)
+        assert again.get_many(results_by_key) == results_by_key
+        assert again.data_path.stat().st_size == size
+        # source files stay where they were.
+        assert len(list(tmp_path.glob("*.json"))) == len(results_by_key)
+
+    def test_first_append_migrates_under_its_own_lock(
+        self, tmp_path, results_by_key
+    ):
+        keys = list(results_by_key)
+        legacy, new = keys[:-1], keys[-1]
+        _write_legacy_files(tmp_path, {k: results_by_key[k] for k in legacy})
+        store = PackedResultStore(tmp_path)
+        store.append_many([(new, results_by_key[new])])
+        assert not store.lock_path.exists()
+        assert PackedResultStore(tmp_path).get_many(keys) == results_by_key
 
     def test_migration_skips_unreadable_entries(
         self, tmp_path, results_by_key
     ):
-        for key, result in results_by_key.items():
-            result.save(tmp_path / f"{key}.json")
+        _write_legacy_files(tmp_path, results_by_key)
         (tmp_path / "deadbeef.json").write_text("{ torn", encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="skipping unreadable"):
-            assert migrate_files_to_packed(tmp_path) == len(results_by_key)
+            assert len(PackedResultStore(tmp_path)) == len(results_by_key)
 
 
-class TestBackendEquality:
-    def test_files_and_packed_results_are_byte_identical(self, tmp_path):
-        files_dir = tmp_path / "files"
-        packed_dir = tmp_path / "packed"
+class TestSweepsOnTheStore:
+    def test_cold_and_warm_results_are_byte_identical(self, tmp_path):
         reference = run_sweep(
-            **GRID_KWARGS, cache_dir=files_dir, executor="serial"
+            **GRID_KWARGS, cache_dir=tmp_path / "a", transport="serial"
         )
         cold = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=packed_dir,
-            executor="serial",
-            cache_backend="packed",
+            **GRID_KWARGS, cache_dir=tmp_path / "b", transport="serial"
         )
-        warm_files = run_sweep(
-            **GRID_KWARGS, cache_dir=files_dir, executor="serial"
+        warm_a = run_sweep(
+            **GRID_KWARGS, cache_dir=tmp_path / "a", transport="serial"
         )
-        warm_packed = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=packed_dir,
-            executor="serial",
-            cache_backend="packed",
+        warm_b = run_sweep(
+            **GRID_KWARGS, cache_dir=tmp_path / "b", transport="serial"
         )
         assert cold.to_json() == reference.to_json()
-        assert warm_packed.to_json() == warm_files.to_json()
-        assert warm_packed.cache_hits == len(warm_packed.results)
-        assert warm_packed.cache_misses == 0
+        assert warm_b.to_json() == warm_a.to_json()
+        assert warm_b.cache_hits == len(warm_b.results)
+        assert warm_b.cache_misses == 0
 
-    def test_migrated_cache_serves_packed_hits(self, tmp_path):
+    def test_legacy_file_cache_restores_as_hits(self, tmp_path):
+        reference = run_sweep(**GRID_KWARGS, transport="serial")
         cache = tmp_path / "cache"
-        reference = run_sweep(
-            **GRID_KWARGS, cache_dir=cache, executor="serial"
-        )
-        migrate_files_to_packed(cache)
-        warm = run_sweep(
-            **GRID_KWARGS,
-            cache_dir=cache,
-            executor="serial",
-            cache_backend="packed",
-        )
+        keys = cache_keys_for_grid(build_grid(**GRID_KWARGS))
+        _write_legacy_files(cache, dict(zip(keys, reference.results)))
+        warm = run_sweep(**GRID_KWARGS, cache_dir=cache, transport="serial")
         # Same results bytes; the hit counters legitimately differ (the
         # cold reference computed, the migrated run was fully warm).
         assert warm.results == reference.results
@@ -272,30 +361,47 @@ class TestBackendEquality:
         from repro.api import ShardPlanner
 
         cache = tmp_path / "cache"
-        run_sweep(
-            experiments=("table4",),
-            cache_dir=cache,
-            executor="serial",
-            cache_backend="packed",
-        )
+        run_sweep(experiments=("table4",), cache_dir=cache, transport="serial")
         grid = build_grid(**GRID_KWARGS) + build_grid(experiments=("table4",))
         stored = PackedResultStore(cache).probe(cache_keys_for_grid(grid))
         expected_warm = sum(
             1 for key in cache_keys_for_grid(grid) if key in stored
         )
-        planner = ShardPlanner(cache_dir=cache, cache_backend="packed")
+        planner = ShardPlanner(cache_dir=cache)
         plan = planner.plan(grid)
         assert plan.warm_points == expected_warm  # the stored table4 points
         assert expected_warm > 0
         assert plan.cold_points == len(grid) - expected_warm
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        from repro.api import ShardPlanner
-
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            run_sweep(**GRID_KWARGS, cache_backend="sqlite")
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            ShardPlanner(cache_dir=tmp_path, cache_backend="sqlite")
+    @pytest.mark.parametrize(
+        "damage", ["bad magic", "unsupported codec"], ids=["magic", "codec"]
+    )
+    def test_unusable_pack_degrades_to_an_uncached_sweep(
+        self, tmp_path, damage
+    ):
+        cache = tmp_path / "cache"
+        journal = tmp_path / "sweep.jsonl"
+        reference = run_sweep(experiments=("table4",), transport="serial")
+        if damage == "bad magic":
+            cache.mkdir()
+            (cache / DATA_FILENAME).write_bytes(b"not a pack at all")
+        else:
+            run_sweep(experiments=("table4",), cache_dir=cache)
+            index = json.loads((cache / INDEX_FILENAME).read_text())
+            index["codec"] = "zstd"
+            (cache / INDEX_FILENAME).write_text(json.dumps(index))
+        with pytest.warns(RuntimeWarning, match="skipping result-cache"):
+            swept = run_sweep(
+                experiments=("table4",),
+                cache_dir=cache,
+                journal=journal,
+                transport="serial",
+            )
+        assert swept.results == reference.results
+        assert swept.cache_misses == 1
+        # The store could not take the result: the journal holds it in full.
+        (line,) = journal.read_text().splitlines()[1:]
+        assert json.loads(line)["kind"] == "point"
 
 
 class TestSlimJournal:
@@ -305,8 +411,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=tmp_path / "cache",
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         kinds = [
             json.loads(line)["kind"]
@@ -326,8 +431,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Simulate an interruption: drop the tail of the journal, keeping
         # the header and the first journaled shard lines.
@@ -337,8 +441,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
             resume=True,
         )
         # Identical results bytes; the hit counters report this
@@ -359,8 +462,7 @@ class TestSlimJournal:
             experiments=("table4",),
             cache_dir=cache,
             journal=journal,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Destroy the store: every journal ref now dangles.
         for name in (DATA_FILENAME, INDEX_FILENAME):
@@ -370,9 +472,8 @@ class TestSlimJournal:
                 experiments=("table4",),
                 cache_dir=cache,
                 journal=journal,
-                executor="serial",
-                cache_backend="packed",
-                resume=True,
+                transport="serial",
+                    resume=True,
             )
         assert resumed.to_json() == reference.to_json()
         assert resumed.stats.journaled_points == 0  # recomputed, not restored
@@ -384,8 +485,7 @@ class TestSlimJournal:
             **GRID_KWARGS,
             cache_dir=cache,
             journal=journal_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         # Rewrite one ref line as a legacy full record; load must accept
         # the mix (lock-contended shards journal in full).
@@ -412,8 +512,7 @@ class TestLoadWithoutStore:
             experiments=("table4",),
             cache_dir=cache,
             journal=journal_path,
-            executor="serial",
-            cache_backend="packed",
+            transport="serial",
         )
         journal = SweepJournal(journal_path)
         with pytest.warns(RuntimeWarning, match="no store given"):
